@@ -1,5 +1,6 @@
 #include "nn/autograd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <initializer_list>
@@ -692,14 +693,34 @@ Var SoftmaxRows(const Var& a) {
 
 namespace {
 
+/// Copies the rows×cols block of `src` at (r0, c0) into `dst` at (d0, e0),
+/// one contiguous row copy at a time (a single copy when both blocks span
+/// whole rows). Concat and slice ops — eager, replayed and backward — move
+/// all their data through here.
+void CopyBlock(const Tensor& src, int r0, int c0, int rows, int cols,
+               Tensor& dst, int d0, int e0) {
+  HEAD_DCHECK(r0 + rows <= src.rows() && c0 + cols <= src.cols());
+  HEAD_DCHECK(d0 + rows <= dst.rows() && e0 + cols <= dst.cols());
+  const int ss = src.cols();
+  const int ds = dst.cols();
+  const double* from = src.data().data() + static_cast<size_t>(r0) * ss + c0;
+  double* to = dst.data().data() + static_cast<size_t>(d0) * ds + e0;
+  if (cols == ss && cols == ds) {
+    std::copy_n(from, static_cast<size_t>(rows) * cols, to);
+    return;
+  }
+  for (int r = 0; r < rows; ++r) {
+    std::copy_n(from + static_cast<size_t>(r) * ss, cols,
+                to + static_cast<size_t>(r) * ds);
+  }
+}
+
 void ConcatColsBackward(VarImpl& self) {
   int off = 0;
   for (VarImpl* pi : self.parents) {
     const int pc = pi->value.cols();
-    Tensor g(pi->value.rows(), pc);
-    for (int r = 0; r < g.rows(); ++r) {
-      for (int c = 0; c < pc; ++c) g.At(r, c) = self.grad.At(r, off + c);
-    }
+    Tensor g = Tensor::Uninitialized(pi->value.rows(), pc);
+    CopyBlock(self.grad, 0, off, g.rows(), pc, g, 0, 0);
     pi->AccumGrad(std::move(g));
     off += pc;
   }
@@ -709,10 +730,8 @@ void ConcatRowsBackward(VarImpl& self) {
   int off = 0;
   for (VarImpl* pi : self.parents) {
     const int pr = pi->value.rows();
-    Tensor g(pr, pi->value.cols());
-    for (int r = 0; r < pr; ++r) {
-      for (int c = 0; c < g.cols(); ++c) g.At(r, c) = self.grad.At(off + r, c);
-    }
+    Tensor g = Tensor::Uninitialized(pr, pi->value.cols());
+    CopyBlock(self.grad, off, 0, pr, g.cols(), g, 0, 0);
     pi->AccumGrad(std::move(g));
     off += pr;
   }
@@ -726,9 +745,7 @@ void ConcatColsForward(VarImpl& self) {
   int off = 0;
   for (VarImpl* pi : self.parents) {
     const Tensor& pv = pi->value;
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < pv.cols(); ++c) out.At(r, off + c) = pv.At(r, c);
-    }
+    CopyBlock(pv, 0, 0, rows, pv.cols(), out, 0, off);
     off += pv.cols();
   }
   self.value = std::move(out);
@@ -742,9 +759,7 @@ void ConcatRowsForward(VarImpl& self) {
   int off = 0;
   for (VarImpl* pi : self.parents) {
     const Tensor& pv = pi->value;
-    for (int r = 0; r < pv.rows(); ++r) {
-      for (int c = 0; c < cols; ++c) out.At(off + r, c) = pv.At(r, c);
-    }
+    CopyBlock(pv, 0, 0, pv.rows(), cols, out, off, 0);
     off += pv.rows();
   }
   self.value = std::move(out);
@@ -765,11 +780,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
   Tensor out = Tensor::Uninitialized(rows, cols);
   int off = 0;
   for (const Var& p : parts) {
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < p.value().cols(); ++c) {
-        out.At(r, off + c) = p.value().At(r, c);
-      }
-    }
+    CopyBlock(p.value(), 0, 0, rows, p.value().cols(), out, 0, off);
     off += p.value().cols();
   }
   return MakeResult("nn.ConcatCols", std::move(out), parts,
@@ -789,9 +800,7 @@ Var ConcatRows(const std::vector<Var>& parts) {
   Tensor out = Tensor::Uninitialized(rows, cols);
   int off = 0;
   for (const Var& p : parts) {
-    for (int r = 0; r < p.value().rows(); ++r) {
-      for (int c = 0; c < cols; ++c) out.At(off + r, c) = p.value().At(r, c);
-    }
+    CopyBlock(p.value(), 0, 0, p.value().rows(), cols, out, off, 0);
     off += p.value().rows();
   }
   return MakeResult("nn.ConcatRows", std::move(out), parts,
@@ -804,11 +813,7 @@ void SliceColsBackward(VarImpl& self) {
   VarImpl* a = self.parents[0];
   const int c0 = self.aux_i;
   Tensor g = Tensor::Zeros(a->value.rows(), a->value.cols());
-  for (int r = 0; r < self.grad.rows(); ++r) {
-    for (int c = 0; c < self.grad.cols(); ++c) {
-      g.At(r, c0 + c) = self.grad.At(r, c);
-    }
-  }
+  CopyBlock(self.grad, 0, 0, self.grad.rows(), self.grad.cols(), g, 0, c0);
   a->AccumGrad(std::move(g));
 }
 
@@ -816,11 +821,7 @@ void SliceRowsBackward(VarImpl& self) {
   VarImpl* a = self.parents[0];
   const int r0 = self.aux_i;
   Tensor g = Tensor::Zeros(a->value.rows(), a->value.cols());
-  for (int r = 0; r < self.grad.rows(); ++r) {
-    for (int c = 0; c < self.grad.cols(); ++c) {
-      g.At(r0 + r, c) = self.grad.At(r, c);
-    }
-  }
+  CopyBlock(self.grad, 0, 0, self.grad.rows(), self.grad.cols(), g, r0, 0);
   a->AccumGrad(std::move(g));
 }
 
@@ -840,9 +841,7 @@ void SliceColsForward(VarImpl& self) {
   const Tensor& av = self.parents[0]->value;
   const int c0 = self.aux_i;
   Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.At(r, c) = av.At(r, c0 + c);
-  }
+  CopyBlock(av, 0, c0, out.rows(), out.cols(), out, 0, 0);
   self.value = std::move(out);
 }
 
@@ -850,9 +849,7 @@ void SliceRowsForward(VarImpl& self) {
   const Tensor& av = self.parents[0]->value;
   const int r0 = self.aux_i;
   Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.At(r, c) = av.At(r0 + r, c);
-  }
+  CopyBlock(av, r0, 0, out.rows(), out.cols(), out, 0, 0);
   self.value = std::move(out);
 }
 
@@ -877,9 +874,7 @@ void SumForward(VarImpl& self) {
 Var SliceCols(const Var& a, int c0, int c1) {
   HEAD_CHECK(0 <= c0 && c0 < c1 && c1 <= a.value().cols());
   Tensor out = Tensor::Uninitialized(a.value().rows(), c1 - c0);
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.At(r, c) = a.value().At(r, c0 + c);
-  }
+  CopyBlock(a.value(), 0, c0, out.rows(), out.cols(), out, 0, 0);
   Var result = MakeResult("nn.SliceCols", std::move(out), {&a},
                           SliceColsBackward, SliceColsForward);
   result.node()->aux_i = c0;
@@ -889,9 +884,7 @@ Var SliceCols(const Var& a, int c0, int c1) {
 Var SliceRows(const Var& a, int r0, int r1) {
   HEAD_CHECK(0 <= r0 && r0 < r1 && r1 <= a.value().rows());
   Tensor out = Tensor::Uninitialized(r1 - r0, a.value().cols());
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.At(r, c) = a.value().At(r0 + r, c);
-  }
+  CopyBlock(a.value(), r0, 0, out.rows(), out.cols(), out, 0, 0);
   Var result = MakeResult("nn.SliceRows", std::move(out), {&a},
                           SliceRowsBackward, SliceRowsForward);
   result.node()->aux_i = r0;

@@ -7,9 +7,10 @@
 // c[i,j] is produced by one accumulator lane folding
 //     acc = fma(a[i,k], b[k,j], acc)   for k = 0, 1, …, K-1
 // seeded by the init mode. The fold never depends on the row range, the
-// 4-row blocking, the 8-column panel, or whether the packed or unpacked
-// variant ran — so results are bitwise identical across thread counts,
-// m-size paths, and batched-vs-per-sample call shapes. The single exception
+// row blocking (packed 4×8, in-place 6×8 or the row loop), the 8-column
+// panel, or whether the packed or unpacked variant ran — so results are
+// bitwise identical across thread counts, m-size paths, and
+// batched-vs-per-sample call shapes. The single exception
 // is the n==1 column-output path, which uses a fixed 4-accumulator dot
 // (function of K alone — still deterministic and shape-consistent, it just
 // folds in a different fixed order than the n>1 kernels).
@@ -82,6 +83,79 @@ inline double Dot4(int k, const double* a, const double* b) {
 // ---- Unpacked row-range kernels (small-m path; same per-element fold as
 // the packed microkernel) ----
 
+/// Rows of the in-place small-m block. 6 rows × 2 halves = 12 accumulator
+/// ymm, plus 2 B halves and 1 broadcast: 15 of the 16 AVX2 registers, so
+/// the k loop never spills — the widest row block that fits (LST-GAT's
+/// LSTM runs 6·B rows, one block per sample).
+constexpr int kInPlaceRows = 6;
+
+/// kInPlaceRows×8 register-blocked kernel reading B (row stride `n`) in
+/// place, so there is no packing cost to amortize. Column block [j, j+8).
+inline void InPlace6x8(int k, int n, int j, const double* a, const double* b,
+                       const double* bias, GemmInit init, double* c) {
+  __m256d acc[kInPlaceRows][2];
+#pragma GCC unroll 6
+  for (int r = 0; r < kInPlaceRows; ++r) {
+    if (init == GemmInit::kBias) {
+      acc[r][0] = _mm256_loadu_pd(bias + j);
+      acc[r][1] = _mm256_loadu_pd(bias + j + 4);
+    } else if (init == GemmInit::kAccumulate) {
+      acc[r][0] = _mm256_loadu_pd(c + static_cast<size_t>(r) * n + j);
+      acc[r][1] = _mm256_loadu_pd(c + static_cast<size_t>(r) * n + j + 4);
+    } else {
+      acc[r][0] = _mm256_setzero_pd();
+      acc[r][1] = _mm256_setzero_pd();
+    }
+  }
+  const double* bcol = b + j;
+  for (int kk = 0; kk < k; ++kk) {
+    const __m256d b0 = _mm256_loadu_pd(bcol + static_cast<size_t>(kk) * n);
+    const __m256d b1 =
+        _mm256_loadu_pd(bcol + static_cast<size_t>(kk) * n + 4);
+#pragma GCC unroll 6
+    for (int r = 0; r < kInPlaceRows; ++r) {
+      const __m256d va = _mm256_set1_pd(a[static_cast<size_t>(r) * k + kk]);
+      acc[r][0] = _mm256_fmadd_pd(va, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_pd(va, b1, acc[r][1]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < kInPlaceRows; ++r) {
+    _mm256_storeu_pd(c + static_cast<size_t>(r) * n + j, acc[r][0]);
+    _mm256_storeu_pd(c + static_cast<size_t>(r) * n + j + 4, acc[r][1]);
+  }
+}
+
+/// Row-vector loop over output columns [j0, n) of `rows` rows: each row is
+/// initialized, then folds one fma per k into memory (load-fma-store).
+void RowLoopFromCol(int rows, int n, int j0, int k, const double* a,
+                    const double* b, const double* bias, GemmInit init,
+                    double* c) {
+  const int width = n - j0;
+  const int w4 = width & ~3;
+  for (int i = 0; i < rows; ++i) {
+    const double* arow = a + static_cast<size_t>(i) * k;
+    double* orow = c + static_cast<size_t>(i) * n + j0;
+    if (init == GemmInit::kZero) {
+      std::memset(orow, 0, static_cast<size_t>(width) * sizeof(double));
+    } else if (init == GemmInit::kBias) {
+      std::memcpy(orow, bias + j0, static_cast<size_t>(width) * sizeof(double));
+    }
+    for (int kk = 0; kk < k; ++kk) {
+      const __m256d va = _mm256_set1_pd(arow[kk]);
+      const double aik = arow[kk];
+      const double* brow = b + static_cast<size_t>(kk) * n + j0;
+      int j = 0;
+      for (; j < w4; j += 4) {
+        const __m256d vo = _mm256_loadu_pd(orow + j);
+        _mm256_storeu_pd(orow + j,
+                         _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), vo));
+      }
+      for (; j < width; ++j) orow[j] = std::fma(aik, brow[j], orow[j]);
+    }
+  }
+}
+
 void Avx2GemmNN(int m, int n, int k, const double* a, const double* b,
                 const double* bias, GemmInit init, double* c) {
   if (n == 1) {
@@ -95,28 +169,22 @@ void Avx2GemmNN(int m, int n, int k, const double* a, const double* b,
     }
     return;
   }
-  const int n4 = n & ~3;
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a + static_cast<size_t>(i) * k;
-    double* orow = c + static_cast<size_t>(i) * n;
-    if (init == GemmInit::kZero) {
-      std::memset(orow, 0, static_cast<size_t>(n) * sizeof(double));
-    } else if (init == GemmInit::kBias) {
-      std::memcpy(orow, bias, static_cast<size_t>(n) * sizeof(double));
+  // Whole 6-row blocks take the in-place microkernel over whole 8-column
+  // blocks; their column tail and the leftover rows take the row loop.
+  const int n8 = n & ~7;
+  int i0 = 0;
+  for (; i0 + kInPlaceRows <= m; i0 += kInPlaceRows) {
+    const double* ablock = a + static_cast<size_t>(i0) * k;
+    double* cblock = c + static_cast<size_t>(i0) * n;
+    for (int j = 0; j < n8; j += kPanelWidth) {
+      InPlace6x8(k, n, j, ablock, b, bias, init, cblock);
     }
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256d va = _mm256_set1_pd(arow[kk]);
-      const double aik = arow[kk];
-      const double* brow = b + static_cast<size_t>(kk) * n;
-      int j = 0;
-      for (; j < n4; j += 4) {
-        const __m256d vo = _mm256_loadu_pd(orow + j);
-        _mm256_storeu_pd(orow + j,
-                         _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), vo));
-      }
-      for (; j < n; ++j) orow[j] = std::fma(aik, brow[j], orow[j]);
+    if (n8 < n) {
+      RowLoopFromCol(kInPlaceRows, n, n8, k, ablock, b, bias, init, cblock);
     }
   }
+  RowLoopFromCol(m - i0, n, 0, k, a + static_cast<size_t>(i0) * k, b, bias,
+                 init, c + static_cast<size_t>(i0) * n);
 }
 
 void Avx2GemmTN(int m, int n, int k, const double* a, int lda, const double* b,

@@ -36,8 +36,12 @@ using internal::PackedBSize;
 // chunk at least half a threshold of work.
 constexpr int64_t kParallelFlops = int64_t{1} << 18;
 
-/// Minimum output rows before the packed path beats the unpacked row-vector
-/// kernel (below this, packing B costs more traffic than it saves). Both
+/// Minimum output rows before the packed path beats the unpacked kernel
+/// (below this, packing B costs more traffic than it saves). The unpacked
+/// AVX2 path runs whole 6-row blocks in place and leftover rows through its
+/// row loop: at m = 6 it is ~2.5-3× faster than packing (6×256×64: 6.7 vs
+/// 16.9 µs on a 4-core AVX2 host), but at m = 8 the two leftover rows bring
+/// it back to parity (13.7 vs 13.0 µs), so the crossover stays at 8. Both
 /// paths run the identical per-element fma fold, so the cutover is purely a
 /// performance choice — never a numerics one.
 constexpr int kPackMinRows = 8;

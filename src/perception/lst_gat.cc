@@ -8,29 +8,14 @@
 
 namespace head::perception {
 
-nn::Tensor PackStepTensor(const StepNodes& nodes) {
-  nn::Tensor m(kNumAreas * kNodesPerTarget, kFeatureDim);
-  for (int i = 0; i < kNumAreas; ++i) {
-    for (int n = 0; n < kNodesPerTarget; ++n) {
-      for (int f = 0; f < kFeatureDim; ++f) {
-        m.At(i * kNodesPerTarget + n, f) = nodes.feat[i][n][f];
-      }
-    }
-  }
-  return m;
-}
-
-nn::Var PackStepNodes(const StepNodes& nodes) {
-  return nn::PlanInput(PackStepTensor(nodes));
-}
-
 namespace {
 
-/// Stacks every sample's step-k nodes into one (B·42×4) tensor — the data
-/// matrix ForwardScaledBatch consumes per step, and what the batch replay
-/// feeder re-feeds. Each sample packs into a disjoint block, so the loop
-/// fans out across the pool (grain keeps small batches on one worker).
-nn::Tensor StackStepBatch(const std::vector<const StGraph*>& graphs, int k) {
+/// Stacks every sample's step-k nodes into one (B·42×4) tensor, 7
+/// consecutive rows per target (self first) — the data matrix the stacked
+/// pass consumes per step, and what the replay feeder re-feeds. Each sample
+/// packs into a disjoint block, so the loop fans out across the pool (grain
+/// keeps small batches on one worker).
+nn::Tensor StackStepBatch(std::span<const StGraph* const> graphs, int k) {
   const int batch = static_cast<int>(graphs.size());
   const int rows_per_sample = kNumAreas * kNodesPerTarget;
   nn::Tensor m(batch * rows_per_sample, kFeatureDim);
@@ -74,141 +59,93 @@ std::vector<nn::Var> LstGat::Params() const {
   return params;
 }
 
-nn::Var LstGat::GatStep(const StepNodes& nodes) const {
-  const nn::Var m = PackStepNodes(nodes);           // (42×4)
-  const nn::Var h_embed = nn::MatMul(m, phi1_);     // (42×Dφ1), φ1·h
-  const nn::Var values = nn::MatMul(m, phi3_);      // (42×Dφ3), φ3·h
-  const nn::Var ones =
-      nn::Var::Constant(nn::Tensor::Full(kNodesPerTarget, 1, 1.0));
-
-  std::vector<nn::Var> updated;  // h'_{C_i}, one (1×Dφ3) row per target
-  updated.reserve(kNumAreas);
-  for (int i = 0; i < kNumAreas; ++i) {
-    const int r0 = i * kNodesPerTarget;
-    const nn::Var group = nn::SliceRows(h_embed, r0, r0 + kNodesPerTarget);
-    const nn::Var target_row = nn::SliceRows(h_embed, r0, r0 + 1);
-    // [φ1·h_i ‖ φ1·h_x] for every node x in the group (Eq. 10).
-    const nn::Var broadcast_target = nn::MatMul(ones, target_row);
-    const nn::Var concat = nn::ConcatCols({broadcast_target, group});
-    nn::Var alpha;
-    if (config_.use_attention) {
-      const nn::Var scores =
-          nn::LeakyRelu(nn::MatMul(concat, phi2_), config_.leaky_slope);
-      alpha = nn::SoftmaxRows(nn::Reshape(scores, 1, kNodesPerTarget));
-    } else {
-      alpha = nn::Var::Constant(
-          nn::Tensor::Full(1, kNodesPerTarget, 1.0 / kNodesPerTarget));
+nn::Var LstGat::Attention(const nn::Var& h_embed, int groups) const {
+  // Pair every node with its group's target (node 0) — Eq. (10) for all
+  // groups at once, without slicing per target.
+  std::vector<int> tgt_idx(groups * kNodesPerTarget);
+  for (int g = 0; g < groups; ++g) {
+    for (int n = 0; n < kNodesPerTarget; ++n) {
+      tgt_idx[g * kNodesPerTarget + n] = g * kNodesPerTarget;
     }
-    // Weighted aggregation of value embeddings (Eq. 11): α·(φ3·h), written
-    // as scale-rows + row sum — the identical multiply-then-add sequence
-    // GatStepStacked runs, so the two paths agree bitwise on any kernel
-    // backend (a 1×7 matmul may fold with FMA under fast_math).
-    const nn::Var group_values =
-        nn::SliceRows(values, r0, r0 + kNodesPerTarget);
-    const nn::Var alpha_col = nn::Reshape(alpha, kNodesPerTarget, 1);
-    updated.push_back(nn::SumRowGroups(nn::ScaleRows(group_values, alpha_col),
-                                       kNodesPerTarget));
   }
-  return nn::ConcatRows(updated);  // (6×Dφ3)
+  const nn::Var tgt = nn::GatherRows(h_embed, std::move(tgt_idx));
+  const nn::Var concat = nn::ConcatCols({tgt, h_embed});
+  const nn::Var scores =
+      nn::LeakyRelu(nn::MatMul(concat, phi2_), config_.leaky_slope);
+  return nn::SoftmaxRows(nn::Reshape(scores, groups, kNodesPerTarget));
 }
 
 nn::Var LstGat::GatStepStacked(const nn::Var& m, int groups) const {
   HEAD_CHECK_EQ(m.value().rows(), groups * kNodesPerTarget);
-  const nn::Var h_embed = nn::MatMul(m, phi1_);  // (G·7×Dφ1)
-  const nn::Var values = nn::MatMul(m, phi3_);   // (G·7×Dφ3)
-  nn::Var alpha_col;                             // (G·7×1) attention weights
+  const nn::Var values = nn::MatMul(m, phi3_);  // (G·7×Dφ3), φ3·h
+  nn::Var alpha_col;                            // (G·7×1) attention weights
   if (config_.use_attention) {
-    // Pair every node with its group's target (node 0) — Eq. (10) for all
-    // groups at once, without slicing per target.
-    std::vector<int> tgt_idx(groups * kNodesPerTarget);
-    for (int g = 0; g < groups; ++g) {
-      for (int n = 0; n < kNodesPerTarget; ++n) {
-        tgt_idx[g * kNodesPerTarget + n] = g * kNodesPerTarget;
-      }
-    }
-    const nn::Var tgt = nn::GatherRows(h_embed, std::move(tgt_idx));
-    const nn::Var concat = nn::ConcatCols({tgt, h_embed});
-    const nn::Var scores =
-        nn::LeakyRelu(nn::MatMul(concat, phi2_), config_.leaky_slope);
-    const nn::Var alpha =
-        nn::SoftmaxRows(nn::Reshape(scores, groups, kNodesPerTarget));
-    alpha_col = nn::Reshape(alpha, groups * kNodesPerTarget, 1);
+    const nn::Var h_embed = nn::MatMul(m, phi1_);  // (G·7×Dφ1), φ1·h
+    alpha_col = nn::Reshape(Attention(h_embed, groups),
+                            groups * kNodesPerTarget, 1);
   } else {
     alpha_col = nn::Var::Constant(nn::Tensor::Full(
         groups * kNodesPerTarget, 1, 1.0 / kNodesPerTarget));
   }
-  // Weighted aggregation (Eq. 11) as scale-rows + within-group row sums —
-  // the same multiply-then-accumulate order as the per-target MatMul, so
-  // values match the loop path bitwise.
+  // Weighted aggregation (Eq. 11) as scale-rows + within-group row sums:
+  // every output is the same multiply-then-accumulate sequence whatever
+  // the batch size, so a sample's rows match bitwise across batchings.
   return nn::SumRowGroups(nn::ScaleRows(values, alpha_col), kNodesPerTarget);
+}
+
+nn::Var LstGat::ForwardStacked(std::span<const StGraph* const> graphs) const {
+  const int z = graphs[0]->z();
+  HEAD_CHECK_GT(z, 0);
+  const int groups = static_cast<int>(graphs.size()) * kNumAreas;
+  nn::LstmState state = lstm_.InitialState(groups);
+  for (int k = 0; k < z; ++k) {
+    const nn::Var h_updated =
+        GatStepStacked(nn::PlanInput(StackStepBatch(graphs, k)), groups);
+    state = lstm_.Forward(h_updated, state);  // Eq. (12), batched over B·6
+  }
+  return head_.Forward(state.h);  // (B·6×3), Eq. (13)
 }
 
 nn::Var LstGat::ForwardScaledBatch(
     const std::vector<const StGraph*>& graphs) const {
   HEAD_SPAN("perception.lstgat.forward_batch");
   HEAD_CHECK(!graphs.empty());
-  const int z = graphs[0]->z();
-  HEAD_CHECK_GT(z, 0);
   for (const StGraph* g : graphs) {
-    if (g->z() != z) return StatePredictor::ForwardScaledBatch(graphs);
+    if (g->z() != graphs[0]->z()) {
+      return StatePredictor::ForwardScaledBatch(graphs);
+    }
   }
-  const int batch = static_cast<int>(graphs.size());
-  nn::LstmState state = lstm_.InitialState(batch * kNumAreas);
-  for (int k = 0; k < z; ++k) {
-    const nn::Var h_updated = GatStepStacked(
-        nn::PlanInput(StackStepBatch(graphs, k)), batch * kNumAreas);
-    state = lstm_.Forward(h_updated, state);  // Eq. (12), batched over B·6
-  }
-  return head_.Forward(state.h);  // (B·6×3), Eq. (13)
+  return ForwardStacked(graphs);
 }
 
-void LstGat::AppendPlanInputs(const StGraph& graph,
-                              std::vector<nn::Tensor>* inputs) const {
-  // One PlanInput per historical step, in ForwardScaled's loop order.
-  for (int k = 0; k < graph.z(); ++k) {
-    inputs->push_back(PackStepTensor(graph.steps[k]));
-  }
+nn::Var LstGat::ForwardScaled(const StGraph& graph) const {
+  HEAD_SPAN("perception.lstgat.forward");
+  const StGraph* const one = &graph;
+  return ForwardStacked({&one, 1});
 }
 
 void LstGat::AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                                    std::vector<nn::Tensor>* inputs) const {
+  // One PlanInput per historical step, in ForwardStacked's loop order.
   HEAD_CHECK(!graphs.empty());
   for (int k = 0; k < graphs[0]->z(); ++k) {
     inputs->push_back(StackStepBatch(graphs, k));
   }
 }
 
-nn::Var LstGat::ForwardScaled(const StGraph& graph) const {
-  HEAD_SPAN("perception.lstgat.forward");
-  HEAD_CHECK_GT(graph.z(), 0);
-  nn::LstmState state = lstm_.InitialState(kNumAreas);
-  for (int k = 0; k < graph.z(); ++k) {
-    const nn::Var h_updated = GatStep(graph.steps[k]);
-    state = lstm_.Forward(h_updated, state);  // Eq. (12), batched over targets
-  }
-  return head_.Forward(state.h);  // Eq. (13)
-}
-
 std::vector<double> LstGat::AttentionWeights(const StGraph& graph,
                                              int i) const {
   HEAD_CHECK(i >= 0 && i < kNumAreas);
+  HEAD_CHECK_GT(graph.z(), 0);
   // Introspection only — values, no recorded graph. Tape-neutral (no reset):
   // callers may hold live Vars; these nodes recycle at the next region entry.
   const nn::NoGradGuard no_grad;
-  const StepNodes& nodes = graph.steps.back();
-  const nn::Var m = PackStepNodes(nodes);
-  const nn::Var h_embed = nn::MatMul(m, phi1_);
-  const int r0 = i * kNodesPerTarget;
-  const nn::Var group = nn::SliceRows(h_embed, r0, r0 + kNodesPerTarget);
-  const nn::Var target_row = nn::SliceRows(h_embed, r0, r0 + 1);
-  const nn::Var ones =
-      nn::Var::Constant(nn::Tensor::Full(kNodesPerTarget, 1, 1.0));
-  const nn::Var concat = nn::ConcatCols({nn::MatMul(ones, target_row), group});
-  const nn::Var scores =
-      nn::LeakyRelu(nn::MatMul(concat, phi2_), config_.leaky_slope);
-  const nn::Var alpha =
-      nn::SoftmaxRows(nn::Reshape(scores, 1, kNodesPerTarget));
-  return alpha.value().data();
+  const StGraph* const one = &graph;
+  const nn::Var m =
+      nn::Var::Constant(StackStepBatch({&one, 1}, graph.z() - 1));
+  const nn::Var alpha = Attention(nn::MatMul(m, phi1_), kNumAreas);  // (6×7)
+  const double* row = alpha.value().data().data() + i * kNodesPerTarget;
+  return std::vector<double>(row, row + kNodesPerTarget);
 }
 
 }  // namespace head::perception

@@ -7,6 +7,7 @@
 #ifndef HEAD_PERCEPTION_LST_GAT_H_
 #define HEAD_PERCEPTION_LST_GAT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,9 @@ class LstGat : public StatePredictor {
 
   std::string name() const override { return "LST-GAT"; }
 
+  /// The one-graph case of ForwardScaledBatch: the same stacked GAT over six
+  /// 7-node groups, so batch-1 inference and the minibatch path run one
+  /// graph (and agree bitwise).
   nn::Var ForwardScaled(const StGraph& graph) const override;
 
   /// Vectorized minibatch pass: stacks every sample's 42 step-k nodes into
@@ -45,8 +49,6 @@ class LstGat : public StatePredictor {
   /// Both forward passes build a fixed graph for a given z whose data
   /// enters only through nn::PlanInput — compilable into an ExecPlan.
   bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const StGraph& graph,
-                        std::vector<nn::Tensor>* inputs) const override;
   void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                              std::vector<nn::Tensor>* inputs) const override;
   const char* ForwardSpanName() const override {
@@ -57,16 +59,22 @@ class LstGat : public StatePredictor {
 
   const LstGatConfig& config() const { return config_; }
 
-  /// Attention weights over [self, surroundings 1..6] of target `i` at the
-  /// newest step — exposed for tests and analysis.
+  /// Learned attention weights (Eq. 10) over [self, surroundings 1..6] of
+  /// target `i` at the newest step — exposed for tests and analysis.
   std::vector<double> AttentionWeights(const StGraph& graph, int i) const;
 
  private:
-  /// Per-step GAT: returns the (6 × d_phi3) updated target states h' (Eq. 11).
-  nn::Var GatStep(const StepNodes& nodes) const;
+  /// The stacked pass behind both forward entry points; every graph must
+  /// have the same history depth z.
+  nn::Var ForwardStacked(std::span<const StGraph* const> graphs) const;
+
+  /// Eq. (10) for `groups` stacked 7-node groups at once: `h_embed` is
+  /// (groups·7 × Dφ1); returns the (groups × 7) attention weights, one
+  /// softmax row per group.
+  nn::Var Attention(const nn::Var& h_embed, int groups) const;
 
   /// Per-step GAT over `groups` stacked 7-node groups at once: `m` is
-  /// (groups·7 × 4); returns the (groups × d_phi3) updated states.
+  /// (groups·7 × 4); returns the (groups × d_phi3) updated states (Eq. 11).
   nn::Var GatStepStacked(const nn::Var& m, int groups) const;
 
   LstGatConfig config_;
@@ -76,14 +84,6 @@ class LstGat : public StatePredictor {
   nn::LstmCell lstm_;
   nn::Linear head_;  // φ4 (+ b4): D_l → 3
 };
-
-/// Packs one step's 42 node features into a (42×4) tensor, grouped as
-/// 7 consecutive rows per target (self first).
-nn::Tensor PackStepTensor(const StepNodes& nodes);
-
-/// PackStepTensor as a Var — an nn::PlanInput, so a capturing caller gets a
-/// replay slot; outside capture it is a plain constant.
-nn::Var PackStepNodes(const StepNodes& nodes);
 
 }  // namespace head::perception
 

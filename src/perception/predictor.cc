@@ -27,11 +27,7 @@ nn::Var StatePredictor::ForwardScaledBatch(
   return rows.size() == 1 ? rows[0] : nn::ConcatRows(rows);
 }
 
-// Feeders are only reachable through PlanCapturable() == true overrides.
-void StatePredictor::AppendPlanInputs(const StGraph&,
-                                      std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
+// The feeder is only reachable through PlanCapturable() == true overrides.
 void StatePredictor::AppendPlanInputsBatch(const std::vector<const StGraph*>&,
                                            std::vector<nn::Tensor>*) const {
   HEAD_CHECK(false);
@@ -68,7 +64,7 @@ Prediction StatePredictor::Predict(const StGraph& graph) const {
   if (plan != nullptr) {
     const obs::ScopedSpan span(ForwardSpanName());
     std::vector<nn::Tensor> in;
-    AppendPlanInputs(graph, &in);
+    AppendPlanInputsBatch({&graph}, &in);
     value = *plan->Replay(std::move(in))[0];
   } else if (!have_value) {
     value = ForwardScaled(graph).value();

@@ -67,13 +67,13 @@ class StatePredictor : public nn::Module {
   /// True when ForwardScaled/ForwardScaledBatch build a fixed-shape graph
   /// for a given history depth z whose data enters only through
   /// nn::PlanInput, so Predict and the trainer may compile the pass into a
-  /// static nn::ExecPlan. The per-sample stacking default is not.
+  /// static nn::ExecPlan. The per-sample stacking default is not. A
+  /// capturable ForwardScaled(graph) must consume its inputs exactly as
+  /// ForwardScaledBatch({&graph}) does.
   virtual bool PlanCapturable() const { return false; }
-  /// Replay feeders: push the input tensors in the exact order a captured
-  /// ForwardScaled(graph) / ForwardScaledBatch(graphs) consumed them. Only
-  /// valid when PlanCapturable().
-  virtual void AppendPlanInputs(const StGraph& graph,
-                                std::vector<nn::Tensor>* inputs) const;
+  /// Replay feeder: pushes the input tensors in the exact order a captured
+  /// ForwardScaledBatch(graphs) — or, for one graph, ForwardScaled —
+  /// consumed them. Only valid when PlanCapturable().
   virtual void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
                                      std::vector<nn::Tensor>* inputs) const;
   /// Trace-span name a replayed forward pass is attributed to — the same

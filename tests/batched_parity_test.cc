@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/arena.h"
+#include "nn/autograd.h"
+#include "nn/plan.h"
 #include "perception/lst_gat.h"
 #include "perception/trainer.h"
 #include "rl/nets.h"
@@ -227,6 +230,97 @@ TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
     EXPECT_NEAR(result_a.epoch_losses[e], result_b.epoch_losses[e], kTol);
   }
   ExpectParamsNear(model_a.Params(), model_b.Params());
+}
+
+// ---- Batch-1 LST-GAT inference ----
+//
+// Predict runs the one-graph case of the stacked minibatch pass, so its
+// output must equal the matching 6-row block of ForwardScaledBatch bit for
+// bit — eager, while a plan is captured, and on plan replay. Under
+// HEAD_PLANS=0 (a second ctest entry runs these cases that way) every mode
+// is eager and the equalities must still hold.
+
+/// Decodes rows [6·s, 6·s+6) of a (B·6×3) scaled-residual block the way
+/// StatePredictor::Predict does.
+perception::Prediction DecodeBlock(const perception::StGraph& graph,
+                                   const nn::Tensor& value, int s,
+                                   const perception::FeatureScale& scale) {
+  perception::Prediction pred;
+  for (int i = 0; i < perception::kNumAreas; ++i) {
+    const int r = s * perception::kNumAreas + i;
+    pred[i].d_lat_m = graph.target_rel_current[i][0] + value.At(r, 0) / scale.lat;
+    pred[i].d_lon_m = graph.target_rel_current[i][1] + value.At(r, 1) / scale.lon;
+    pred[i].v_rel_mps =
+        graph.target_rel_current[i][2] + value.At(r, 2) / scale.v;
+  }
+  return pred;
+}
+
+void ExpectPredictionBitwise(const perception::Prediction& a,
+                             const perception::Prediction& b) {
+  for (int i = 0; i < perception::kNumAreas; ++i) {
+    EXPECT_EQ(a[i].d_lat_m, b[i].d_lat_m) << "target " << i;
+    EXPECT_EQ(a[i].d_lon_m, b[i].d_lon_m) << "target " << i;
+    EXPECT_EQ(a[i].v_rel_mps, b[i].v_rel_mps) << "target " << i;
+  }
+}
+
+TEST(LstGatBatchOneTest, PredictMatchesBatchBlockInEveryMode) {
+  // Full-size model: the LSTM's 6×64·64×256 gate GEMMs take the in-place
+  // small-m kernel at batch 1 and the packed kernel at batch 8.
+  constexpr int kBatch = 8;
+  for (const int z : {1, 5}) {
+    SCOPED_TRACE(::testing::Message() << "z=" << z);
+    Rng init(23);
+    perception::LstGat model(perception::LstGatConfig{}, init);
+    Rng data(24 + z);
+    std::vector<perception::PredictionSample> samples;
+    for (int s = 0; s < kBatch; ++s) {
+      samples.push_back(RandomSample(data, z, true));
+    }
+    std::vector<const perception::StGraph*> graphs;
+    for (const auto& s : samples) graphs.push_back(&s.graph);
+
+    nn::Tensor batch;
+    {
+      const nn::NoGradGuard no_grad;
+      batch = model.ForwardScaledBatch(graphs).value();
+    }
+    ASSERT_EQ(batch.rows(), kBatch * perception::kNumAreas);
+
+    model.set_static_plans(false);
+    for (int s = 0; s < kBatch; ++s) {
+      SCOPED_TRACE(::testing::Message() << "eager, sample " << s);
+      ExpectPredictionBitwise(model.Predict(samples[s].graph),
+                              DecodeBlock(samples[s].graph, batch, s,
+                                          model.scale()));
+    }
+    // Sample 0 captures this depth's plan (its output is the capture run);
+    // the rest replay it. With HEAD_PLANS=0 all of them run eagerly.
+    model.set_static_plans(true);
+    for (int s = 0; s < kBatch; ++s) {
+      SCOPED_TRACE(::testing::Message()
+                   << (s == 0 ? "capture" : "replay") << ", sample " << s);
+      ExpectPredictionBitwise(model.Predict(samples[s].graph),
+                              DecodeBlock(samples[s].graph, batch, s,
+                                          model.scale()));
+    }
+  }
+}
+
+TEST(LstGatBatchOneTest, PredictPlanRunsTheStackedGraph) {
+  // The stacked batch-1 graph at z = 5 is ~130 nodes; the per-target loop
+  // it replaced compiled to ~460. The bound catches the loop's return.
+  Rng init(23);
+  perception::LstGat model(perception::LstGatConfig{}, init);
+  Rng data(29);
+  const perception::PredictionSample sample = RandomSample(data, 5, true);
+  nn::ResetTape();
+  const nn::NoGradGuard no_grad;
+  nn::PlanCapture capture;
+  const nn::Var out = model.ForwardScaled(sample.graph);
+  const std::shared_ptr<const nn::ExecPlan> plan = capture.Finish({out});
+  EXPECT_LE(plan->num_nodes(), 150u);
 }
 
 }  // namespace

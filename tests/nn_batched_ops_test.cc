@@ -1,7 +1,9 @@
 // Forward and finite-difference backward checks for the batched autograd
 // ops behind the vectorized training paths (GatherRows, SelectColumnPerRow,
 // RowwiseMax, SumRows, ScaleRows, SumRowGroups), plus the grad-mode switch
-// (NoGradGuard) that turns forward passes into pure inference.
+// (NoGradGuard) that turns forward passes into pure inference, and the
+// row-copy ops (ConcatCols/ConcatRows/SliceCols/SliceRows) at edge shapes
+// against an element-wise reference, eager and plan-replayed.
 #include <cmath>
 #include <functional>
 #include <thread>
@@ -9,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/arena.h"
 #include "nn/autograd.h"
+#include "nn/plan.h"
 
 namespace head::nn {
 namespace {
@@ -248,6 +252,174 @@ TEST(GradModeTest, NoGradValuesMatchRecordedValues) {
   for (int i = 0; i < detached.size(); ++i) {
     EXPECT_DOUBLE_EQ(detached[i], recorded.value()[i]);
   }
+}
+
+// ---- Row-copy ops at edge shapes ----
+//
+// Concat and slice ops only move data, so each is fully described by where
+// every output element comes from. The reference copies element by element
+// through that map; forward must match it bitwise, and the backward of the
+// weighted sum Σ W⊙out must land exactly W(r,c) on the source of (r,c) and
+// 0 on every input element no output reads.
+
+struct Source {
+  int part, r, c;
+};
+
+struct CopyCase {
+  const char* name;
+  std::vector<std::pair<int, int>> input_shapes;
+  int out_rows, out_cols;
+  std::function<Var(const std::vector<Var>&)> op;
+  std::function<Source(int r, int c)> source;
+};
+
+void ExpectBitwise(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (int i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << i;
+}
+
+/// Element-wise reference: the forward output over `inputs` and the input
+/// gradients of Σ W⊙out.
+void CopyReference(const CopyCase& cc, const std::vector<Tensor>& inputs,
+                   const Tensor& w, Tensor* out, std::vector<Tensor>* grads) {
+  *out = Tensor(cc.out_rows, cc.out_cols);
+  grads->clear();
+  for (const Tensor& in : inputs) grads->emplace_back(in.rows(), in.cols());
+  for (int r = 0; r < cc.out_rows; ++r) {
+    for (int c = 0; c < cc.out_cols; ++c) {
+      const Source s = cc.source(r, c);
+      out->At(r, c) = inputs[s.part].At(s.r, s.c);
+      (*grads)[s.part].At(s.r, s.c) += w.At(r, c);
+    }
+  }
+}
+
+void ExpectCopyOpMatchesReference(const CopyCase& cc) {
+  SCOPED_TRACE(cc.name);
+  std::vector<Tensor> inputs, replay_inputs;
+  for (size_t p = 0; p < cc.input_shapes.size(); ++p) {
+    const auto [rows, cols] = cc.input_shapes[p];
+    inputs.push_back(Arange(rows, cols, 0.1, 0.5 * p));
+    replay_inputs.push_back(Arange(rows, cols, -0.3, 2.0 + p));
+  }
+  const Tensor w = Arange(cc.out_rows, cc.out_cols, 0.37, 0.2);
+  const auto loss_of = [&w](const Var& out) {
+    return Sum(Mul(out, Var::Constant(w)));
+  };
+  Tensor ref_out;
+  std::vector<Tensor> ref_grads;
+
+  // Eager forward + backward.
+  ResetTape();
+  std::vector<Var> params;
+  for (const Tensor& in : inputs) params.push_back(Var::Param(in));
+  const Var out = cc.op(params);
+  CopyReference(cc, inputs, w, &ref_out, &ref_grads);
+  ExpectBitwise(out.value(), ref_out);
+  Backward(loss_of(out));
+  for (size_t p = 0; p < params.size(); ++p) {
+    ExpectBitwise(params[p].grad(), ref_grads[p]);
+  }
+
+  // Plan replay: capture on `inputs`, then replay forward and backward
+  // against new parameter values.
+  for (Var& param : params) param.mutable_grad() = Tensor();
+  std::shared_ptr<const ExecPlan> plan;
+  {
+    ResetTape();
+    PlanCapture capture;
+    const Var captured = cc.op(params);
+    const Var loss = loss_of(captured);
+    Backward(loss);
+    plan = capture.Finish({captured, loss});
+  }
+  for (size_t p = 0; p < params.size(); ++p) {
+    params[p].mutable_value() = replay_inputs[p];
+    params[p].mutable_grad() = Tensor();
+  }
+  const Tensor replayed = *plan->Replay({})[0];
+  CopyReference(cc, replay_inputs, w, &ref_out, &ref_grads);
+  ExpectBitwise(replayed, ref_out);
+  for (size_t p = 0; p < params.size(); ++p) {
+    ExpectBitwise(params[p].grad(), ref_grads[p]);
+  }
+}
+
+TEST(RowCopyOpsTest, ConcatColsEdgeShapes) {
+  // Parts of different widths (1, 4, 2 columns).
+  ExpectCopyOpMatchesReference(
+      {"mixed widths", {{3, 1}, {3, 4}, {3, 2}}, 3, 7,
+       [](const std::vector<Var>& v) { return ConcatCols(v); },
+       [](int r, int c) {
+         return c < 1 ? Source{0, r, c}
+                      : c < 5 ? Source{1, r, c - 1} : Source{2, r, c - 5};
+       }});
+  ExpectCopyOpMatchesReference(
+      {"one row", {{1, 3}, {1, 1}}, 1, 4,
+       [](const std::vector<Var>& v) { return ConcatCols(v); },
+       [](int r, int c) {
+         return c < 3 ? Source{0, r, c} : Source{1, r, c - 3};
+       }});
+  ExpectCopyOpMatchesReference(
+      {"one-column parts", {{4, 1}, {4, 1}}, 4, 2,
+       [](const std::vector<Var>& v) { return ConcatCols(v); },
+       [](int r, int c) { return Source{c, r, 0}; }});
+}
+
+TEST(RowCopyOpsTest, ConcatRowsEdgeShapes) {
+  ExpectCopyOpMatchesReference(
+      {"mixed heights", {{1, 3}, {4, 3}, {2, 3}}, 7, 3,
+       [](const std::vector<Var>& v) { return ConcatRows(v); },
+       [](int r, int c) {
+         return r < 1 ? Source{0, r, c}
+                      : r < 5 ? Source{1, r - 1, c} : Source{2, r - 5, c};
+       }});
+  ExpectCopyOpMatchesReference(
+      {"one column", {{2, 1}, {3, 1}}, 5, 1,
+       [](const std::vector<Var>& v) { return ConcatRows(v); },
+       [](int r, int c) {
+         return r < 2 ? Source{0, r, c} : Source{1, r - 2, c};
+       }});
+  ExpectCopyOpMatchesReference(
+      {"one-row parts", {{1, 4}, {1, 4}}, 2, 4,
+       [](const std::vector<Var>& v) { return ConcatRows(v); },
+       [](int r, int c) { return Source{r, 0, c}; }});
+}
+
+TEST(RowCopyOpsTest, SliceColsEdgeShapes) {
+  ExpectCopyOpMatchesReference(
+      {"ends at last column", {{4, 5}}, 4, 2,
+       [](const std::vector<Var>& v) { return SliceCols(v[0], 3, 5); },
+       [](int r, int c) { return Source{0, r, c + 3}; }});
+  ExpectCopyOpMatchesReference(
+      {"one column", {{4, 5}}, 4, 1,
+       [](const std::vector<Var>& v) { return SliceCols(v[0], 2, 3); },
+       [](int r, int c) { return Source{0, r, c + 2}; }});
+  ExpectCopyOpMatchesReference(
+      {"one row", {{1, 5}}, 1, 3,
+       [](const std::vector<Var>& v) { return SliceCols(v[0], 1, 4); },
+       [](int r, int c) { return Source{0, r, c + 1}; }});
+  ExpectCopyOpMatchesReference(
+      {"whole width", {{3, 4}}, 3, 4,
+       [](const std::vector<Var>& v) { return SliceCols(v[0], 0, 4); },
+       [](int r, int c) { return Source{0, r, c}; }});
+}
+
+TEST(RowCopyOpsTest, SliceRowsEdgeShapes) {
+  ExpectCopyOpMatchesReference(
+      {"ends at last row", {{5, 3}}, 2, 3,
+       [](const std::vector<Var>& v) { return SliceRows(v[0], 3, 5); },
+       [](int r, int c) { return Source{0, r + 3, c}; }});
+  ExpectCopyOpMatchesReference(
+      {"one row", {{5, 3}}, 1, 3,
+       [](const std::vector<Var>& v) { return SliceRows(v[0], 0, 1); },
+       [](int r, int c) { return Source{0, r, c}; }});
+  ExpectCopyOpMatchesReference(
+      {"one column", {{5, 1}}, 3, 1,
+       [](const std::vector<Var>& v) { return SliceRows(v[0], 2, 5); },
+       [](int r, int c) { return Source{0, r + 2, c}; }});
 }
 
 }  // namespace

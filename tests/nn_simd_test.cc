@@ -11,6 +11,7 @@
 //     count, and the m-size dispatch path (uniform-arithmetic design).
 //   * End to end: a full BP-DQN update loop and an LST-GAT training run
 //     land on the same parameters under fast-math AVX2 and scalar.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -394,6 +395,71 @@ TEST_F(SimdTest, SmallKPackedPathBitwiseMatchesGenericMicrokernel) {
             ASSERT_EQ(c_small[i], c_generic[i])
                 << "m=" << m << " n=" << n << " k=" << k
                 << " init=" << static_cast<int>(init) << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdTest, InPlaceSmallMPathBitwiseMatchesPackedAndFmaFold) {
+  // The unpacked gemm_nn path runs whole 6-row blocks through the in-place
+  // 6×8 microkernel and everything else through the row loop. Every
+  // element must still be the plain fold acc = fma(a[i,kk], b[kk,j], acc)
+  // over ascending kk from its init: bitwise equal to a scalar std::fma
+  // reference, to the packed path, and to itself when the rows arrive in
+  // chunks that split the 6-row blocks (as the dispatch layer's row
+  // partitioning may).
+  if (!UseAvx2()) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  namespace internal = kernels::internal;
+  const internal::KernelTable& t = internal::kAvx2Table;
+  using kernels::GemmInit;
+  Rng rng(59);
+  for (const int m : {1, 5, 6, 7, 12, 13}) {
+    for (const int n : {3, 8, 12, 256}) {
+      for (const int k : {1, 4, 64}) {
+        const nn::Tensor a = nn::Tensor::Uniform(m, k, -1.0, 1.0, rng);
+        const nn::Tensor b = nn::Tensor::Uniform(k, n, -1.0, 1.0, rng);
+        const nn::Tensor bias = nn::Tensor::Uniform(1, n, -1.0, 1.0, rng);
+        std::vector<double> bp(internal::PackedBSize(n, k));
+        std::vector<double> bias_p(internal::PackedBiasSize(n));
+        t.pack_b(n, k, b.data().data(), /*transposed=*/false, bp.data());
+        t.pack_bias(n, bias.data().data(), bias_p.data());
+        for (const GemmInit init :
+             {GemmInit::kZero, GemmInit::kBias, GemmInit::kAccumulate}) {
+          const nn::Tensor seed = nn::Tensor::Uniform(m, n, -1.0, 1.0, rng);
+          nn::Tensor fold = seed;
+          for (int i = 0; i < m; ++i) {
+            for (int j = 0; j < n; ++j) {
+              double acc = init == GemmInit::kZero   ? 0.0
+                           : init == GemmInit::kBias ? bias[j]
+                                                     : seed.At(i, j);
+              for (int kk = 0; kk < k; ++kk) {
+                acc = std::fma(a.At(i, kk), b.At(kk, j), acc);
+              }
+              fold.At(i, j) = acc;
+            }
+          }
+          nn::Tensor in_place = seed, packed = seed;
+          t.gemm_nn(m, n, k, a.data().data(), b.data().data(),
+                    bias.data().data(), init, in_place.data().data());
+          t.gemm_packed(m, n, k, a.data().data(), /*a_row_stride=*/k,
+                        /*a_k_stride=*/1, bp.data(), bias_p.data(), init,
+                        packed.data().data());
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << m << " n=" << n << " k=" << k
+                       << " init=" << static_cast<int>(init));
+          ExpectTensorBitwise(in_place, fold);
+          ExpectTensorBitwise(in_place, packed);
+          for (const int chunk : {4, 5}) {
+            nn::Tensor chunked = seed;
+            for (int i0 = 0; i0 < m; i0 += chunk) {
+              t.gemm_nn(std::min(chunk, m - i0), n, k,
+                        a.data().data() + i0 * k, b.data().data(),
+                        bias.data().data(), init,
+                        chunked.data().data() + i0 * n);
+            }
+            ExpectTensorBitwise(in_place, chunked);
           }
         }
       }

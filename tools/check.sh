@@ -5,7 +5,9 @@
 #      the batched-ops test that exercises the thread-local grad-mode switch,
 #      the arena/tensor-pool test (cold-vs-warm tape parity, pooled-buffer
 #      recycling — the ASan pass is what proves recycled buffers are never
-#      used after free), and the parallel-layer tests, all pinned to
+#      used after free), the parallel-layer tests, and the batched-parity
+#      test (batch-1 LST-GAT inference through the row-copy ops and the
+#      in-place small-m GEMM kernel), all pinned to
 #      HEAD_THREADS=4 so the pool actually races even on a 1-core CI box.
 #   2. Perf smoke stage: optimized build of bench/training_throughput (a few
 #      seconds at the fast profile), gated against the checked-in baseline —
@@ -61,7 +63,8 @@ fi
 SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            obs_profiler_test flight_replay_test sim_simulation_test
            sim_models_test nn_batched_ops_test nn_arena_test nn_simd_test
-           nn_plan_test parallel_test parallel_determinism_test serve_test)
+           nn_plan_test parallel_test parallel_determinism_test serve_test
+           batched_parity_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
   BUILD_DIR="build-${SANITIZER}san"
