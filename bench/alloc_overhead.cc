@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "nn/arena.h"
 #include "nn/autograd.h"
-#include "nn/plan.h"
 #include "nn/tensor.h"
 #include "nn/tensor_pool.h"
 
@@ -99,50 +98,6 @@ void BM_WarmTapeForwardBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WarmTapeForwardBackward);
-
-/// The same step replayed from a captured ExecPlan (ISSUE 9): the frozen
-/// schedule walks preallocated per-thread clone nodes, so a steady-state
-/// replay builds no tape at all — the alloc_events_per_step counter
-/// (arena chunk growth + tensor-pool misses) must read 0.000.
-void BM_PlanReplayForwardBackward(benchmark::State& state) {
-  Rng rng(7);
-  nn::Var w1 = nn::Var::Param(nn::Tensor::XavierUniform(32, 64, rng));
-  nn::Var b1 = nn::Var::Param(nn::Tensor::Zeros(1, 64));
-  nn::Var w2 = nn::Var::Param(nn::Tensor::XavierUniform(64, 8, rng));
-  nn::Var b2 = nn::Var::Param(nn::Tensor::Zeros(1, 8));
-  const nn::Tensor input = nn::Tensor::Uniform(16, 32, -1.0, 1.0, rng);
-
-  nn::ResetTape();
-  std::shared_ptr<const nn::ExecPlan> plan;
-  {
-    nn::PlanCapture capture;
-    const nn::Var x = nn::PlanInput(input);
-    const nn::Var h = nn::Relu(nn::Affine(x, w1, b1));
-    const nn::Var loss = nn::Sum(nn::Square(nn::Affine(h, w2, b2)));
-    nn::Backward(loss);
-    plan = capture.Finish({loss});
-  }
-  for (nn::Var* p : {&w1, &b1, &w2, &b2}) p->ZeroGrad();
-  for (int i = 0; i < 3; ++i) {  // warm the per-thread replay clone + pool
-    std::vector<nn::Tensor> in;
-    in.push_back(input);
-    plan->Replay(std::move(in));
-    for (nn::Var* p : {&w1, &b1, &w2, &b2}) p->ZeroGrad();
-  }
-
-  const uint64_t allocs_before = nn::AllocEvents();
-  for (auto _ : state) {
-    std::vector<nn::Tensor> in;
-    in.push_back(input);
-    benchmark::DoNotOptimize(plan->Replay(std::move(in)));
-    for (nn::Var* p : {&w1, &b1, &w2, &b2}) p->ZeroGrad();
-  }
-  state.counters["alloc_events_per_step"] = benchmark::Counter(
-      static_cast<double>(nn::AllocEvents() - allocs_before) /
-      static_cast<double>(state.iterations()));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PlanReplayForwardBackward);
 
 }  // namespace
 

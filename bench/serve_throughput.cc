@@ -2,15 +2,15 @@
 // single-request path (max_batch=1 ping-pong) and the cross-client
 // micro-batched path, the batching speedup between them, client-observed
 // p50/p95/p99 latency under open-loop Poisson load at three operating
-// points, and the steady-state allocation count per served request on the
-// plan-replay path. Emits JSON (--json-out) and optionally gates against a
+// points, and the steady-state allocation count per served request. Emits
+// JSON (--json-out) and optionally gates against a
 // checked-in baseline (--baseline, --max-regress) so CI catches serving
 // regressions.
 //
 // Usage:
 //   serve_throughput [--json-out=path] [--baseline=path] [--max-regress=0.30]
 //                    [--threads=N] [--trials=N] [--batch=32] [--window-us=200]
-//                    [--kernel=scalar|avx2] [--plans=on|off]
+//                    [--kernel=scalar|avx2]
 //                    [--min-batch-speedup=X] [--require-zero-allocs]
 //                    [--metrics-out=path]
 //
@@ -20,11 +20,9 @@
 // when batched/single falls below the given ratio (0 = off).
 //
 // The alloc keys count tape/pool events inside ModelSnapshot::DecideBatch /
-// PredictBatch only (the replay hot path); client-side request/future
+// PredictBatch only (the serving hot path); client-side request/future
 // plumbing is plain heap by design, exactly like training_throughput's
-// caller-side index vectors. With --plans=off the eager fallback allocates
-// tape nodes per batch, so the alloc keys are reported as 0 and the zero
-// gate is skipped — the claim under test is specifically replay.
+// caller-side index vectors.
 //
 // HEAD_BENCH_PROFILE=paper scales up the measured work; the default (fast)
 // sizes fit a CI smoke stage.
@@ -46,7 +44,6 @@
 #include "common/rng.h"
 #include "nn/arena.h"
 #include "nn/kernels/simd.h"
-#include "nn/plan.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "perception/lst_gat.h"
@@ -156,7 +153,7 @@ double MeasureSingleRps(serve::ModelSnapshotRegistry& registry, int requests) {
   config.batch_window_us = 0;
   serve::DecisionService service(&registry, config);
   const auto states = StatePool(64, 0xabcu);
-  RunDecisionWaves(service, states, 1, 64);  // warm plans + replay contexts
+  RunDecisionWaves(service, states, 1, 64);  // warm the arena and pool
   return RunDecisionWaves(service, states, 1, requests);
 }
 
@@ -262,16 +259,16 @@ LoadPoint MeasureLoadPoint(serve::ModelSnapshotRegistry& registry,
   return point;
 }
 
-/// Tape/pool alloc events per served request once every power-of-two bucket
-/// up to max_batch is warm (each bucket's plan compiled, each executing
-/// thread's replay context cloned). Counts only events inside DecideBatch /
-/// PredictBatch — the serve replay path. Steady state must be exactly 0.
+/// Tape/pool alloc events per served request once batches of every
+/// power-of-two size up to max_batch have warmed each executing thread's
+/// arena and pool. Counts only events inside DecideBatch / PredictBatch —
+/// the serving hot path. Steady state must be exactly 0.
 double MeasureServeAllocs(serve::ModelSnapshotRegistry& registry,
                           int max_batch, bool prediction) {
   serve::ServeConfig config;
   config.max_batch = max_batch;
   // Generous window: partial warmup waves must dispatch as one batch of the
-  // exact bucket size rather than splitting.
+  // wave's size rather than splitting.
   config.batch_window_us = 2000;
   config.queue_capacity = 8 * max_batch;
   serve::DecisionService service(&registry, config);
@@ -387,27 +384,14 @@ int main(int argc, char** argv) {
   }
   const kernels::Isa bench_isa = kernels::ActiveIsa();
 
-  const std::string plans_flag = ArgString(argc, argv, "--plans");
-  if (!plans_flag.empty() && plans_flag != "on" && plans_flag != "off") {
-    std::cerr << "unknown --plans=" << plans_flag << " (expected on|off)\n";
-    return 1;
-  }
-  // PlansEnabled() latches HEAD_PLANS on first call; nothing in this process
-  // has touched the nn layer yet, so the flag can still override the env.
-  if (!plans_flag.empty()) {
-    setenv("HEAD_PLANS", plans_flag == "off" ? "0" : "1", /*overwrite=*/1);
-  }
-  const bool plans_on = head::nn::PlansEnabled();
-
   std::cout << "profile: " << (paper ? "paper" : "fast") << " (best of "
             << trials << " trials, " << threads << " threads, kernel "
             << kernels::IsaName(bench_isa) << ", cpu "
-            << kernels::CpuCapabilityString() << ", plans "
-            << (plans_on ? "on" : "off") << ", max_batch " << max_batch
+            << kernels::CpuCapabilityString() << ", max_batch " << max_batch
             << ", window " << window_us << "us)\n";
 
-  // One registry (and thus one snapshot with its plan caches) for every
-  // phase: publication cost is not what this bench measures.
+  // One registry (and thus one snapshot) for every phase: publication cost
+  // is not what this bench measures.
   serve::ModelSnapshotRegistry registry(PaperFactories(), /*keep=*/2);
   {
     Rng rng(0x5e17e);
@@ -447,18 +431,12 @@ int main(int argc, char** argv) {
               << loads[i].deadline_missed << "\n";
   }
 
-  // Steady-state allocs per request on the replay path (0 when plans are
-  // off: the eager fallback allocates by design and is not under this gate).
-  double decide_allocs = 0.0;
-  double predict_allocs = 0.0;
-  if (plans_on) {
-    decide_allocs =
-        MeasureServeAllocs(registry, max_batch, /*prediction=*/false);
-    predict_allocs =
-        MeasureServeAllocs(registry, max_batch, /*prediction=*/true);
-    std::cout << "steady-state allocs/request: decide " << decide_allocs
-              << ", predict " << predict_allocs << "\n";
-  }
+  const double decide_allocs =
+      MeasureServeAllocs(registry, max_batch, /*prediction=*/false);
+  const double predict_allocs =
+      MeasureServeAllocs(registry, max_batch, /*prediction=*/true);
+  std::cout << "steady-state allocs/request: decide " << decide_allocs
+            << ", predict " << predict_allocs << "\n";
 
   std::ostringstream json;
   json.precision(6);
@@ -468,7 +446,6 @@ int main(int argc, char** argv) {
        << "\"cpu_capability\":\"" << kernels::CpuCapabilityString() << "\","
        << "\"fast_math\":" << (kernels::FastMathEnabled() ? "true" : "false")
        << ","
-       << "\"plans\":\"" << (plans_on ? "on" : "off") << "\","
        << "\"max_batch\":" << max_batch << ","
        << "\"window_us\":" << window_us << ","
        << "\"serve_single_rps\":" << single_rps << ","
@@ -518,9 +495,7 @@ int main(int argc, char** argv) {
   }
 
   if (HasFlag(argc, argv, "--require-zero-allocs")) {
-    if (!plans_on) {
-      std::cout << "alloc gate skipped (plans off: eager fallback)\n";
-    } else if (decide_allocs != 0.0 || predict_allocs != 0.0) {
+    if (decide_allocs != 0.0 || predict_allocs != 0.0) {
       std::cerr << "ALLOC REGRESSION: steady-state tape/pool alloc events "
                 << "per served request must be 0 (decide=" << decide_allocs
                 << ", predict=" << predict_allocs << ")\n";

@@ -7,7 +7,7 @@
 // Usage:
 //   training_throughput [--json-out=path] [--baseline=path]
 //                       [--max-regress=0.30] [--skip-per-sample] [--trials=N]
-//                       [--kernel=scalar|avx2] [--skip-gemm] [--plans=on|off]
+//                       [--kernel=scalar|avx2] [--skip-gemm]
 //                       [--profile-out=path] [--min-profile-coverage=0.95]
 //
 // --profile-out runs one additional *profiled* pass over the RL update,
@@ -16,13 +16,6 @@
 // and writes the head-profile-v1 JSON for tools/profile_diff.py.
 // --min-profile-coverage fails the run if the profiled pass attributes less
 // than the given fraction of root step time to per-op rows.
-//
-// --plans controls the static-execution-plan axis: the eager keys
-// (rl_transitions_per_sec_batched etc.) are always measured with plans
-// pinned OFF — they stay comparable to the committed eager baseline — and
-// --plans=on (the default) measures the same paths again with capture/replay
-// plans enabled, emitting the *_plan_* keys and speedups. --plans=off (or
-// HEAD_PLANS=0) skips the plan pass and writes 0 for the plan keys.
 //
 // --kernel pins the SIMD backend for the end-to-end measurements (default:
 // the best the CPU supports). The gemm_gflops axis below always measures
@@ -45,7 +38,6 @@
 #include "common/rng.h"
 #include "nn/arena.h"
 #include "nn/kernels/simd.h"
-#include "nn/plan.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "parallel/env_pool.h"
@@ -75,10 +67,9 @@ head::rl::AugmentedState RandomState(Rng& rng) {
 
 /// Transitions/sec of PdqnAgent::Update on a warmed-up replay buffer (each
 /// update consumes one minibatch through critic + actor).
-double MeasureRlThroughput(bool batched, int updates, bool plans) {
+double MeasureRlThroughput(bool batched, int updates) {
   head::rl::PdqnConfig config;  // paper-scale nets: hidden 64, batch 64
   config.batched_updates = batched;
-  config.static_plans = plans;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -110,11 +101,9 @@ double MeasureRlThroughput(bool batched, int updates, bool plans) {
 /// claim of the arena+pool design: after warmup this must be exactly 0.
 /// Caller-side index vectors (replay-sample pointers etc.) are plain heap and
 /// outside the tape — they are not counted here by design.
-double MeasureRlSteadyAllocs(int warmup_updates, int measured_updates,
-                             bool plans) {
+double MeasureRlSteadyAllocs(int warmup_updates, int measured_updates) {
   head::rl::PdqnConfig config;
   config.batched_updates = true;
-  config.static_plans = plans;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -168,26 +157,19 @@ std::vector<head::perception::PredictionSample> MakeSamples(int count, int z,
 }
 
 /// Samples/sec of TrainPredictor over LST-GAT at paper-scale widths.
-/// Warmup-then-measure: one untimed TrainPredictor call warms the tensor
-/// pool (and, on the plan pass, compiles the step plans into a shared cache
-/// and instantiates the thread's replay clones), so the timed call measures
-/// the steady state both keys claim — for plans that is pure replay, with
-/// capture amortized away as it is in any training run longer than the
-/// fast profile's two minibatches.
+/// Warmup-then-measure: one untimed TrainPredictor call warms the arena and
+/// tensor pool, so the timed call measures the steady state.
 double MeasurePredictionThroughput(bool batched, int sample_count,
-                                   int epochs, bool plans) {
+                                   int epochs) {
   head::perception::LstGatConfig net_config;  // defaults: 64-wide, as paper
   Rng init(7);
   head::perception::LstGat model(net_config, init);
   Rng data(17);
   const auto samples = MakeSamples(sample_count, /*z=*/4, data);
 
-  head::perception::PredictorPlanCache plan_cache;
   head::perception::PredictionTrainConfig config;
   config.epochs = epochs;
   config.batched = batched;
-  config.static_plans = plans;
-  config.plan_cache = &plan_cache;
   head::perception::TrainPredictor(model, samples, config);  // warmup
   const double t0 = Now();
   head::perception::TrainPredictor(model, samples, config);
@@ -198,22 +180,19 @@ double MeasurePredictionThroughput(bool batched, int sample_count,
 /// Tape/pool alloc events per TrainPredictor minibatch step once warm: one
 /// warmup epoch fills the arena and pool, then a measured epoch over the same
 /// data must not touch the heap through either.
-double MeasurePredSteadyAllocs(int sample_count, bool plans) {
+double MeasurePredSteadyAllocs(int sample_count) {
   head::perception::LstGatConfig net_config;
   Rng init(7);
   head::perception::LstGat model(net_config, init);
   Rng data(17);
   const auto samples = MakeSamples(sample_count, /*z=*/4, data);
 
-  head::perception::PredictorPlanCache plan_cache;
   head::perception::PredictionTrainConfig config;
   config.epochs = 1;
   config.batched = true;
-  config.static_plans = plans;
-  config.plan_cache = &plan_cache;  // measured epoch replays, no recapture
-  // Two warmup epochs: the first compiles the plans (or, eager, fills the
-  // pool); the second runs the measured path itself once so the pool holds
-  // every buffer that path keeps in rotation. Only then is a step "warm".
+  // Two warmup epochs: the first fills the pool; the second runs the
+  // measured path itself once so the pool holds every buffer that path
+  // keeps in rotation. Only then is a step "warm".
   head::perception::TrainPredictor(model, samples, config);
   head::perception::TrainPredictor(model, samples, config);
   const uint64_t before = head::nn::AllocEvents();
@@ -227,16 +206,14 @@ double MeasurePredSteadyAllocs(int sample_count, bool plans) {
 /// the (already-overridden) global thread pool — the parallel-rollout axis
 /// of the training hot path. Uses an untrained agent: rollout cost is
 /// forward-pass + sim dominated and independent of weight values.
-double MeasureRolloutThroughput(int num_envs, int episodes, bool plans) {
+double MeasureRolloutThroughput(int num_envs, int episodes) {
   head::rl::EnvConfig env_config;
   env_config.sim.road.length_m = 400.0;
   env_config.sim.spawn.back_margin_m = 120.0;
   env_config.sim.spawn.front_margin_m = 120.0;
   Rng init(13);
   head::perception::LstGat predictor(head::perception::LstGatConfig{}, init);
-  predictor.set_static_plans(plans);
   head::rl::PdqnConfig config;
-  config.static_plans = plans;
   Rng agent_rng(19);
   auto agent = head::rl::MakeBpDqnAgent(config, agent_rng);
 
@@ -402,14 +379,7 @@ int main(int argc, char** argv) {
   head::parallel::ThreadPool bench_pool(threads);
   head::parallel::GlobalPoolOverride pool_override(&bench_pool);
 
-  // --plans controls the static-execution-plan axis: the eager keys
-// (rl_transitions_per_sec_batched etc.) are always measured with plans
-// pinned OFF — they stay comparable to the committed eager baseline — and
-// --plans=on (the default) measures the same paths again with capture/replay
-// plans enabled, emitting the *_plan_* keys and speedups. --plans=off (or
-// HEAD_PLANS=0) skips the plan pass and writes 0 for the plan keys.
-//
-// --kernel pins the SIMD backend for everything measured below.
+  // --kernel pins the SIMD backend for everything measured below.
   const std::string kernel_flag = ArgString(argc, argv, "--kernel");
   if (kernel_flag == "scalar") {
     kernels::SetActiveIsa(kernels::Isa::kScalar);
@@ -427,20 +397,10 @@ int main(int argc, char** argv) {
   }
   const kernels::Isa bench_isa = kernels::ActiveIsa();
 
-  // --plans: measure the static-plan variants (default on; HEAD_PLANS=0
-  // also disables them, since the library would fall back to eager anyway).
-  const std::string plans_flag = ArgString(argc, argv, "--plans");
-  if (!plans_flag.empty() && plans_flag != "on" && plans_flag != "off") {
-    std::cerr << "unknown --plans=" << plans_flag << " (expected on|off)\n";
-    return 1;
-  }
-  const bool measure_plans = plans_flag != "off" && head::nn::PlansEnabled();
-
   std::cout << "profile: " << (paper ? "paper" : "fast") << " (best of "
             << trials << " trials, " << threads << " threads, kernel "
             << kernels::IsaName(bench_isa) << ", cpu "
-            << kernels::CpuCapabilityString() << ", plans "
-            << (measure_plans ? "on" : "off") << ")\n";
+            << kernels::CpuCapabilityString() << ")\n";
 
   // GEMM microkernel axis: both backends on the training-hot-path shapes.
   std::ostringstream gemm_json;
@@ -484,88 +444,41 @@ int main(int argc, char** argv) {
               << "x\n";
   }
 
-  // Eager reference pass: plans pinned OFF so these keys keep measuring the
-  // arena/pool eager path the committed baseline was recorded on.
   const double rl_batched = BestOf(trials, [&] {
-    return MeasureRlThroughput(/*batched=*/true, rl_updates, /*plans=*/false);
+    return MeasureRlThroughput(/*batched=*/true, rl_updates);
   });
   std::cout << "rl batched:       " << rl_batched << " transitions/sec\n";
   const double pred_batched = BestOf(trials, [&] {
     return MeasurePredictionThroughput(/*batched=*/true, pred_samples,
-                                       pred_epochs, /*plans=*/false);
+                                       pred_epochs);
   });
   std::cout << "pred batched:     " << pred_batched << " samples/sec\n";
   const double rollout = BestOf(trials, [&] {
-    return MeasureRolloutThroughput(rollout_envs, rollout_episodes,
-                                    /*plans=*/false);
+    return MeasureRolloutThroughput(rollout_envs, rollout_episodes);
   });
   std::cout << "rollout (K=" << rollout_envs << "): " << rollout
             << " env steps/sec\n";
 
-  // Static-plan pass: the same paths with capture/replay plans enabled.
-  double rl_plan = 0.0;
-  double pred_plan = 0.0;
-  double rollout_plan = 0.0;
-  if (measure_plans) {
-    rl_plan = BestOf(trials, [&] {
-      return MeasureRlThroughput(/*batched=*/true, rl_updates, /*plans=*/true);
-    });
-    std::cout << "rl plan replay:   " << rl_plan
-              << " transitions/sec (plan speedup " << rl_plan / rl_batched
-              << "x)\n";
-    pred_plan = BestOf(trials, [&] {
-      return MeasurePredictionThroughput(/*batched=*/true, pred_samples,
-                                         pred_epochs, /*plans=*/true);
-    });
-    std::cout << "pred plan replay: " << pred_plan
-              << " samples/sec (plan speedup " << pred_plan / pred_batched
-              << "x)\n";
-    rollout_plan = BestOf(trials, [&] {
-      return MeasureRolloutThroughput(rollout_envs, rollout_episodes,
-                                      /*plans=*/true);
-    });
-    std::cout << "rollout plan (K=" << rollout_envs << "): " << rollout_plan
-              << " env steps/sec (plan speedup " << rollout_plan / rollout
-              << "x)\n";
-  }
-
   // Steady-state allocation audit: tape/pool heap events per update after
-  // warmup. The arena + tensor-pool hot path is designed to make these 0 —
-  // and plan replay must stay 0 too (it builds no graphs at all).
+  // warmup. The arena + tensor-pool hot path is designed to make these 0.
   const double rl_allocs = MeasureRlSteadyAllocs(/*warmup_updates=*/4,
-                                                 /*measured_updates=*/8,
-                                                 /*plans=*/false);
-  const double pred_allocs =
-      MeasurePredSteadyAllocs(/*sample_count=*/32, /*plans=*/false);
+                                                 /*measured_updates=*/8);
+  const double pred_allocs = MeasurePredSteadyAllocs(/*sample_count=*/32);
   std::cout << "rl steady allocs:   " << rl_allocs << " events/update\n";
   std::cout << "pred steady allocs: " << pred_allocs << " events/step\n";
-  double rl_plan_allocs = 0.0;
-  double pred_plan_allocs = 0.0;
-  if (measure_plans) {
-    rl_plan_allocs = MeasureRlSteadyAllocs(/*warmup_updates=*/4,
-                                           /*measured_updates=*/8,
-                                           /*plans=*/true);
-    pred_plan_allocs =
-        MeasurePredSteadyAllocs(/*sample_count=*/32, /*plans=*/true);
-    std::cout << "rl plan steady allocs:   " << rl_plan_allocs
-              << " events/update\n";
-    std::cout << "pred plan steady allocs: " << pred_plan_allocs
-              << " events/step\n";
-  }
 
   double rl_per_sample = 0.0;
   double pred_per_sample = 0.0;
   if (!skip_per_sample) {
     rl_per_sample = BestOf(trials, [&] {
-      return MeasureRlThroughput(/*batched=*/false, rl_updates,
-                                 /*plans=*/false);
+      return MeasureRlThroughput(/*batched=*/false, rl_updates);
     });
     std::cout << "rl per-sample:    " << rl_per_sample
               << " transitions/sec (speedup "
               << rl_batched / rl_per_sample << "x)\n";
     pred_per_sample = BestOf(trials, [&] {
       return MeasurePredictionThroughput(/*batched=*/false, pred_samples,
-                                         pred_epochs, /*plans=*/false);
+                                         pred_epochs);
     });
     std::cout << "pred per-sample:  " << pred_per_sample
               << " samples/sec (speedup " << pred_batched / pred_per_sample
@@ -592,20 +505,7 @@ int main(int argc, char** argv) {
        << "\"pred_speedup\":"
        << (pred_per_sample > 0 ? pred_batched / pred_per_sample : 0.0) << ","
        << "\"rl_allocs_per_step_steady\":" << rl_allocs << ","
-       << "\"pred_allocs_per_step_steady\":" << pred_allocs << ","
-       << "\"plans\":\"" << (measure_plans ? "on" : "off") << "\","
-       << "\"rl_plan_transitions_per_sec_batched\":" << rl_plan << ","
-       << "\"rl_plan_speedup\":"
-       << (rl_batched > 0 ? rl_plan / rl_batched : 0.0) << ","
-       << "\"pred_plan_samples_per_sec_batched\":" << pred_plan << ","
-       << "\"pred_plan_speedup\":"
-       << (pred_batched > 0 ? pred_plan / pred_batched : 0.0) << ","
-       << "\"rollout_plan_env_steps_per_sec\":" << rollout_plan << ","
-       << "\"rollout_plan_speedup\":"
-       << (rollout > 0 ? rollout_plan / rollout : 0.0) << ","
-       << "\"rl_plan_allocs_per_step_steady\":" << rl_plan_allocs << ","
-       << "\"pred_plan_allocs_per_step_steady\":" << pred_plan_allocs
-       << "}";
+       << "\"pred_allocs_per_step_steady\":" << pred_allocs << "}";
 
   const std::string json_out = ArgString(argc, argv, "--json-out");
   if (!json_out.empty()) {
@@ -644,17 +544,13 @@ int main(int argc, char** argv) {
 
   // --require-zero-allocs: hard gate on the zero-allocation steady state.
   if (HasFlag(argc, argv, "--require-zero-allocs")) {
-    if (rl_allocs != 0.0 || pred_allocs != 0.0 || rl_plan_allocs != 0.0 ||
-        pred_plan_allocs != 0.0) {
+    if (rl_allocs != 0.0 || pred_allocs != 0.0) {
       std::cerr << "ALLOC REGRESSION: steady-state tape/pool alloc events "
                 << "per step must be 0 (rl=" << rl_allocs
-                << ", pred=" << pred_allocs
-                << ", rl_plan=" << rl_plan_allocs
-                << ", pred_plan=" << pred_plan_allocs << ")\n";
+                << ", pred=" << pred_allocs << ")\n";
       return 1;
     }
-    std::cout << "alloc gate ok: 0 tape/pool alloc events per steady step"
-              << (measure_plans ? " (eager and plan replay)" : "") << "\n";
+    std::cout << "alloc gate ok: 0 tape/pool alloc events per steady step\n";
   }
 
   // Regression gate: current batched throughput must stay within
@@ -672,28 +568,15 @@ int main(int argc, char** argv) {
     struct Gate {
       const char* key;
       double current;
-      bool required;  ///< missing baseline key is an error (vs. skip)
     };
-    std::vector<Gate> gates = {
-        {"rl_transitions_per_sec_batched", rl_batched, true},
-        {"pred_samples_per_sec_batched", pred_batched, true},
-        {"rollout_env_steps_per_sec", rollout, true},
+    const Gate gates[] = {
+        {"rl_transitions_per_sec_batched", rl_batched},
+        {"pred_samples_per_sec_batched", pred_batched},
+        {"rollout_env_steps_per_sec", rollout},
     };
-    if (measure_plans) {
-      // Optional so an older eager-only baseline still gates the eager keys.
-      gates.push_back({"rl_plan_transitions_per_sec_batched", rl_plan, false});
-      gates.push_back({"pred_plan_samples_per_sec_batched", pred_plan, false});
-      gates.push_back(
-          {"rollout_plan_env_steps_per_sec", rollout_plan, false});
-    }
     for (const auto& gate : gates) {
       double expected = 0.0;
       if (!ReadJsonNumber(buf.str(), gate.key, &expected)) {
-        if (!gate.required) {
-          std::cout << "perf gate skipped (baseline lacks " << gate.key
-                    << ")\n";
-          continue;
-        }
         std::cerr << "baseline missing key " << gate.key << "\n";
         return 1;
       }
@@ -716,13 +599,9 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     kernels::CalibrateProfilerRoofline();  // before Start: no stat pollution
     head::obs::StartProfiling();
-    // The profiled pass runs the default execution mode: with plans on it
-    // proves replay keeps per-op attribution (coverage gate below) intact.
-    MeasureRlThroughput(/*batched=*/true, rl_updates, measure_plans);
-    MeasurePredictionThroughput(/*batched=*/true, pred_samples, pred_epochs,
-                                measure_plans);
-    MeasureRolloutThroughput(rollout_envs, std::max(2, rollout_episodes / 4),
-                             measure_plans);
+    MeasureRlThroughput(/*batched=*/true, rl_updates);
+    MeasurePredictionThroughput(/*batched=*/true, pred_samples, pred_epochs);
+    MeasureRolloutThroughput(rollout_envs, std::max(2, rollout_episodes / 4));
     head::obs::StopProfiling();
     const head::obs::ProfileReport report = head::obs::CollectProfile();
     std::cout << head::obs::ProfileToText(report, /*top_n=*/10);

@@ -29,7 +29,6 @@ internal::VarImpl* GraphArena::New() {
   if (cursor_ > stats_.peak_in_use) stats_.peak_in_use = cursor_;
   internal::VarImpl* n = &chunks_[chunk]->nodes[idx];
   n->backward = nullptr;
-  n->forward = nullptr;
   n->parents.clear();  // keeps capacity from the node's previous life
   n->requires_grad = false;
   if (!n->grad.empty()) n->grad = Tensor();  // buffer back to the pool
@@ -51,7 +50,6 @@ void GraphArena::Reset() {
     if (!n.value.empty()) n.value = Tensor();
     if (!n.grad.empty()) n.grad = Tensor();
     n.backward = nullptr;
-    n.forward = nullptr;
     n.parents.clear();  // keeps capacity for the node's next life
   }
   cursor_ = 0;

@@ -33,11 +33,6 @@ struct VarImpl {
   Tensor grad;  // lazily allocated on first accumulation
   bool requires_grad = false;
   void (*backward)(VarImpl&) = nullptr;  // reads this.grad, feeds parents
-  /// Recomputes `value` from `parents` — the op's eager arithmetic re-run
-  /// verbatim. Set on every MakeResult node; consumed by ExecPlan::Replay
-  /// (plan.h), which walks nodes in creation order instead of rebuilding
-  /// the graph. nullptr on leaves (Params, Constants, plan inputs).
-  void (*forward)(VarImpl&) = nullptr;
   std::vector<VarImpl*> parents;
   double aux_d = 0.0;        // Scale factor, LeakyRelu slope
   int aux_i = 0;             // SliceCols c0 / SliceRows r0 / group size

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "nn/arena.h"
 #include "nn/kernels/simd.h"
-#include "nn/plan.h"
 
 namespace head::nn {
 
@@ -26,13 +25,6 @@ Var Var::Param(Tensor value) {
 }
 
 Var Var::Constant(Tensor value) {
-  if (plan_internal::Active()) {
-    // Captured constants freeze into the plan (initial LSTM state, ones
-    // columns, …). Per-step data must come in through nn::PlanInput.
-    VarImpl* node = plan_internal::NewNode();
-    node->value = std::move(value);
-    return Var(node, 0);
-  }
   GraphArena& arena = GraphArena::ThreadLocal();
   VarImpl* node = arena.New();
   node->value = std::move(value);
@@ -100,13 +92,10 @@ uint64_t NextTraversalMark() {
 
 /// Creates a result node from the thread's arena; records parents/backward
 /// only if needed. `inputs` is a stack-backed pointer list — no per-op
-/// container allocation. Under plan capture (plan.h) the node comes from
-/// the plan's persistent storage instead, parents are always recorded
-/// (replay needs the data edges even with gradients disabled), and
-/// `forward` — the op's replay-recompute function — is frozen in.
+/// container allocation.
 Var MakeResult(const char* op, Tensor value,
                std::initializer_list<const Var*> inputs,
-               void (*backward)(VarImpl&), void (*forward)(VarImpl&)) {
+               void (*backward)(VarImpl&)) {
   bool needs = false;
   for (const Var* v : inputs) {
     HEAD_CHECK(v->defined());
@@ -114,16 +103,6 @@ Var MakeResult(const char* op, Tensor value,
     if (v->node()->requires_grad) needs = true;
   }
   if (!g_grad_enabled) needs = false;
-  if (plan_internal::Active()) {
-    VarImpl* node = plan_internal::NewNode();
-    node->value = std::move(value);
-    node->requires_grad = needs;
-    node->op_name = op;
-    node->forward = forward;
-    for (const Var* v : inputs) node->parents.push_back(v->node());
-    if (needs) node->backward = backward;
-    return Var(node, 0);
-  }
   GraphArena& arena = GraphArena::ThreadLocal();
   VarImpl* node = arena.New();
   node->value = std::move(value);
@@ -138,7 +117,7 @@ Var MakeResult(const char* op, Tensor value,
 
 /// Variadic-input overload (Concat ops).
 Var MakeResult(const char* op, Tensor value, const std::vector<Var>& inputs,
-               void (*backward)(VarImpl&), void (*forward)(VarImpl&)) {
+               void (*backward)(VarImpl&)) {
   bool needs = false;
   for (const Var& v : inputs) {
     HEAD_CHECK(v.defined());
@@ -146,17 +125,6 @@ Var MakeResult(const char* op, Tensor value, const std::vector<Var>& inputs,
     if (v.node()->requires_grad) needs = true;
   }
   if (!g_grad_enabled) needs = false;
-  if (plan_internal::Active()) {
-    VarImpl* node = plan_internal::NewNode();
-    node->value = std::move(value);
-    node->requires_grad = needs;
-    node->op_name = op;
-    node->forward = forward;
-    node->parents.reserve(inputs.size());
-    for (const Var& v : inputs) node->parents.push_back(v.node());
-    if (needs) node->backward = backward;
-    return Var(node, 0);
-  }
   GraphArena& arena = GraphArena::ThreadLocal();
   VarImpl* node = arena.New();
   node->value = std::move(value);
@@ -223,17 +191,6 @@ void Backward(const Var& loss) {
                    node.value.rows(), node.value.cols(), 0, 0, 0);
       node.backward(node);
     }
-  }
-  if (plan_internal::Active()) {
-    // Plan capture: freeze the reverse schedule instead of tearing the tape
-    // down — replay re-runs these exact closures in this exact order.
-    // Intermediate grads are still dropped, so the captured step leaves the
-    // same observable state (param grads only) as an eager step.
-    plan_internal::RecordBackward(root, order);
-    for (VarImpl* node : order) {
-      if (node->backward != nullptr) node->grad = Tensor();
-    }
-    return;
   }
   // Release intermediate gradients/graph edges so only leaf grads persist
   // and repeated Backward calls cannot double-apply backward functions.
@@ -336,110 +293,13 @@ void AddRowBroadcastBackward(VarImpl& self) {
   self.parents[1]->AccumGrad(SumRows(self.grad));
 }
 
-// ---- Plan-replay forward functions ----
-//
-// Each re-runs its op's eager arithmetic verbatim against the node's
-// (re-fed) parents: the same kernel-table entry points, the same loop
-// structure, the same HEAD_PROF_OP line — so a replayed step is bitwise
-// identical to the eager step it was captured from, and the profiler
-// attributes replayed ops under the same keys. Output geometry is static
-// per plan and read back from the node's previous value where needed.
-
-void MatMulForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  const Tensor& b = self.parents[1]->value;
-  HEAD_PROF_OP("nn.MatMul", a.rows(), b.cols(), a.cols(), 0, 0);
-  self.value = MatMul(a, b);
-}
-
-void AffineForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  const Tensor& b = self.parents[1]->value;
-  HEAD_PROF_OP("nn.Affine", a.rows(), b.cols(), a.cols(), 0, 0);
-  self.value = Affine(a, b, self.parents[2]->value);
-}
-
-void AffineActForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  const Tensor& b = self.parents[1]->value;
-  HEAD_PROF_OP("nn.AffineAct", a.rows(), b.cols(), a.cols(), 0, 0);
-  Tensor out = Affine(a, b, self.parents[2]->value);
-  kernels::ActForward(static_cast<kernels::ActKind>(self.aux_i), self.aux_d,
-                      out.size(), out.data().data());
-  self.value = std::move(out);
-}
-
-void DualAffineForward(VarImpl& self) {
-  const Tensor& a1 = self.parents[0]->value;
-  const Tensor& b1 = self.parents[1]->value;
-  const Tensor& a2 = self.parents[2]->value;
-  const Tensor& b2 = self.parents[3]->value;
-  const Tensor& bias = self.parents[4]->value;
-  const int m = a1.rows(), n = b1.cols();
-  HEAD_PROF_OP("nn.DualAffine", m, n, a1.cols(), 0, 0);
-  Tensor out = Tensor::Uninitialized(m, n);
-  kernels::GemmNN(m, n, a1.cols(), a1.data().data(), b1.data().data(),
-                  bias.data().data(), kernels::GemmInit::kBias,
-                  out.data().data());
-  kernels::GemmNN(m, n, a2.cols(), a2.data().data(), b2.data().data(),
-                  /*bias=*/nullptr, kernels::GemmInit::kAccumulate,
-                  out.data().data());
-  self.value = std::move(out);
-}
-
-void AddForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.Add", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{24} * a.size());
-  self.value = Add(a, self.parents[1]->value);
-}
-
-void SubForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.Sub", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{24} * a.size());
-  self.value = Sub(a, self.parents[1]->value);
-}
-
-void MulForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.Mul", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{24} * a.size());
-  self.value = Mul(a, self.parents[1]->value);
-}
-
-void ScaleForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.Scale", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{16} * a.size());
-  self.value = Scale(a, self.aux_d);
-}
-
-void AddScalarForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.AddScalar", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{16} * a.size());
-  const double s = self.aux_d;
-  Tensor out = a;
-  for (int i = 0; i < out.size(); ++i) out[i] += s;
-  self.value = std::move(out);
-}
-
-void AddRowBroadcastForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.AddRowBroadcast", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{24} * a.size());
-  self.value = AddRowBroadcast(a, self.parents[1]->value);
-}
-
 }  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
   HEAD_PROF_OP("nn.MatMul", a.value().rows(), b.value().cols(),
                a.value().cols(), 0, 0);  // flops live on the nested kernel
   Tensor out = MatMul(a.value(), b.value());
-  return MakeResult("nn.MatMul", std::move(out), {&a, &b}, MatMulBackward,
-                    MatMulForward);
+  return MakeResult("nn.MatMul", std::move(out), {&a, &b}, MatMulBackward);
 }
 
 Var Affine(const Var& a, const Var& b, const Var& bias) {
@@ -447,7 +307,7 @@ Var Affine(const Var& a, const Var& b, const Var& bias) {
                a.value().cols(), 0, 0);
   Tensor out = Affine(a.value(), b.value(), bias.value());
   return MakeResult("nn.Affine", std::move(out), {&a, &b, &bias},
-                    AffineBackward, AffineForward);
+                    AffineBackward);
 }
 
 Var AffineAct(const Var& a, const Var& b, const Var& bias, FusedAct act,
@@ -459,7 +319,7 @@ Var AffineAct(const Var& a, const Var& b, const Var& bias, FusedAct act,
   const kernels::ActKind kind = ToActKind(act);
   kernels::ActForward(kind, leaky_slope, out.size(), out.data().data());
   Var result = MakeResult("nn.AffineAct", std::move(out), {&a, &b, &bias},
-                          AffineActBackward, AffineActForward);
+                          AffineActBackward);
   result.node()->aux_i = static_cast<int>(kind);
   result.node()->aux_d = leaky_slope;
   return result;
@@ -483,40 +343,35 @@ Var DualAffine(const Var& a1, const Var& b1, const Var& a2, const Var& b2,
                   b2.value().data().data(), /*bias=*/nullptr,
                   kernels::GemmInit::kAccumulate, out.data().data());
   return MakeResult("nn.DualAffine", std::move(out),
-                    {&a1, &b1, &a2, &b2, &bias}, DualAffineBackward,
-                    DualAffineForward);
+                    {&a1, &b1, &a2, &b2, &bias}, DualAffineBackward);
 }
 
 Var Add(const Var& a, const Var& b) {
   HEAD_PROF_OP("nn.Add", a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{24} * a.value().size());
   Tensor out = Add(a.value(), b.value());
-  return MakeResult("nn.Add", std::move(out), {&a, &b}, AddBackward,
-                    AddForward);
+  return MakeResult("nn.Add", std::move(out), {&a, &b}, AddBackward);
 }
 
 Var Sub(const Var& a, const Var& b) {
   HEAD_PROF_OP("nn.Sub", a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{24} * a.value().size());
   Tensor out = Sub(a.value(), b.value());
-  return MakeResult("nn.Sub", std::move(out), {&a, &b}, SubBackward,
-                    SubForward);
+  return MakeResult("nn.Sub", std::move(out), {&a, &b}, SubBackward);
 }
 
 Var Mul(const Var& a, const Var& b) {
   HEAD_PROF_OP("nn.Mul", a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{24} * a.value().size());
   Tensor out = Mul(a.value(), b.value());
-  return MakeResult("nn.Mul", std::move(out), {&a, &b}, MulBackward,
-                    MulForward);
+  return MakeResult("nn.Mul", std::move(out), {&a, &b}, MulBackward);
 }
 
 Var Scale(const Var& a, double s) {
   HEAD_PROF_OP("nn.Scale", a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{16} * a.value().size());
   Tensor out = Scale(a.value(), s);
-  Var result = MakeResult("nn.Scale", std::move(out), {&a}, ScaleBackward,
-                          ScaleForward);
+  Var result = MakeResult("nn.Scale", std::move(out), {&a}, ScaleBackward);
   result.node()->aux_d = s;
   return result;
 }
@@ -527,7 +382,7 @@ Var AddScalar(const Var& a, double s) {
   Tensor out = a.value();
   for (int i = 0; i < out.size(); ++i) out[i] += s;
   Var result = MakeResult("nn.AddScalar", std::move(out), {&a},
-                          PassThroughBackward, AddScalarForward);
+                          PassThroughBackward);
   result.node()->aux_d = s;
   return result;
 }
@@ -537,7 +392,7 @@ Var AddRowBroadcast(const Var& a, const Var& row) {
                int64_t{a.value().size()}, int64_t{24} * a.value().size());
   Tensor out = AddRowBroadcast(a.value(), row.value());
   return MakeResult("nn.AddRowBroadcast", std::move(out), {&a, &row},
-                    AddRowBroadcastBackward, AddRowBroadcastForward);
+                    AddRowBroadcastBackward);
 }
 
 namespace {
@@ -565,43 +420,20 @@ void LeakyReluBackward(VarImpl& self) {
   a->AccumGrad(std::move(g));
 }
 
-// Scalar forward functions shared by the eager op and its plan-replay
-// function — one definition, so the two paths cannot drift.
+// Scalar forward functions of the element-wise ops.
 double ReluF(double x) { return x > 0.0 ? x : 0.0; }
 double TanhF(double x) { return std::tanh(x); }
 double SigmoidF(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 double SquareF(double x) { return x * x; }
 
-template <double (*Fwd)(double)>
-void UnaryForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP(self.op_name, a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{16} * a.size());
-  Tensor out = a;
-  for (int i = 0; i < out.size(); ++i) out[i] = Fwd(out[i]);
-  self.value = std::move(out);
-}
-
-void LeakyReluForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.LeakyRelu", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{16} * a.size());
-  const double negative_slope = self.aux_d;
-  Tensor out = a;
-  for (int i = 0; i < out.size(); ++i) {
-    out[i] = out[i] > 0.0 ? out[i] : negative_slope * out[i];
-  }
-  self.value = std::move(out);
-}
-
 template <typename FwdFn>
 Var UnaryElementwise(const char* op, const Var& a, FwdFn fwd,
-                     void (*backward)(VarImpl&), void (*forward)(VarImpl&)) {
+                     void (*backward)(VarImpl&)) {
   HEAD_PROF_OP(op, a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{16} * a.value().size());
   Tensor out = a.value();
   for (int i = 0; i < out.size(); ++i) out[i] = fwd(out[i]);
-  return MakeResult(op, std::move(out), {&a}, backward, forward);
+  return MakeResult(op, std::move(out), {&a}, backward);
 }
 
 double ReluD(double x, double /*y*/) { return x > 0.0 ? 1.0 : 0.0; }
@@ -612,27 +444,24 @@ double SquareD(double x, double /*y*/) { return 2.0 * x; }
 }  // namespace
 
 Var Relu(const Var& a) {
-  return UnaryElementwise("nn.Relu", a, ReluF, UnaryBackward<ReluD>,
-                          UnaryForward<ReluF>);
+  return UnaryElementwise("nn.Relu", a, ReluF, UnaryBackward<ReluD>);
 }
 
 Var LeakyRelu(const Var& a, double negative_slope) {
   Var result = UnaryElementwise(
       "nn.LeakyRelu", a,
       [negative_slope](double x) { return x > 0.0 ? x : negative_slope * x; },
-      LeakyReluBackward, LeakyReluForward);
+      LeakyReluBackward);
   result.node()->aux_d = negative_slope;
   return result;
 }
 
 Var Tanh(const Var& a) {
-  return UnaryElementwise("nn.Tanh", a, TanhF, UnaryBackward<TanhD>,
-                          UnaryForward<TanhF>);
+  return UnaryElementwise("nn.Tanh", a, TanhF, UnaryBackward<TanhD>);
 }
 
 Var Sigmoid(const Var& a) {
-  return UnaryElementwise("nn.Sigmoid", a, SigmoidF, UnaryBackward<SigmoidD>,
-                          UnaryForward<SigmoidF>);
+  return UnaryElementwise("nn.Sigmoid", a, SigmoidF, UnaryBackward<SigmoidD>);
 }
 
 namespace {
@@ -650,24 +479,6 @@ void SoftmaxRowsBackward(VarImpl& self) {
     }
   }
   self.parents[0]->AccumGrad(std::move(g));
-}
-
-void SoftmaxRowsForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.SoftmaxRows", a.rows(), a.cols(), 0, int64_t{5} * a.size(),
-               int64_t{16} * a.size());
-  Tensor out = a;
-  for (int r = 0; r < out.rows(); ++r) {
-    double mx = out.At(r, 0);
-    for (int c = 1; c < out.cols(); ++c) mx = std::max(mx, out.At(r, c));
-    double sum = 0.0;
-    for (int c = 0; c < out.cols(); ++c) {
-      out.At(r, c) = std::exp(out.At(r, c) - mx);
-      sum += out.At(r, c);
-    }
-    for (int c = 0; c < out.cols(); ++c) out.At(r, c) /= sum;
-  }
-  self.value = std::move(out);
 }
 
 }  // namespace
@@ -688,15 +499,15 @@ Var SoftmaxRows(const Var& a) {
     for (int c = 0; c < out.cols(); ++c) out.At(r, c) /= sum;
   }
   return MakeResult("nn.SoftmaxRows", std::move(out), {&a},
-                    SoftmaxRowsBackward, SoftmaxRowsForward);
+                    SoftmaxRowsBackward);
 }
 
 namespace {
 
 /// Copies the rows×cols block of `src` at (r0, c0) into `dst` at (d0, e0),
 /// one contiguous row copy at a time (a single copy when both blocks span
-/// whole rows). Concat and slice ops — eager, replayed and backward — move
-/// all their data through here.
+/// whole rows). Concat and slice ops — forward and backward — move all
+/// their data through here.
 void CopyBlock(const Tensor& src, int r0, int c0, int rows, int cols,
                Tensor& dst, int d0, int e0) {
   HEAD_DCHECK(r0 + rows <= src.rows() && c0 + cols <= src.cols());
@@ -737,34 +548,6 @@ void ConcatRowsBackward(VarImpl& self) {
   }
 }
 
-void ConcatColsForward(VarImpl& self) {
-  const int rows = self.value.rows();
-  const int cols = self.value.cols();
-  HEAD_PROF_OP("nn.ConcatCols", rows, cols, 0, 0, int64_t{16} * rows * cols);
-  Tensor out = Tensor::Uninitialized(rows, cols);
-  int off = 0;
-  for (VarImpl* pi : self.parents) {
-    const Tensor& pv = pi->value;
-    CopyBlock(pv, 0, 0, rows, pv.cols(), out, 0, off);
-    off += pv.cols();
-  }
-  self.value = std::move(out);
-}
-
-void ConcatRowsForward(VarImpl& self) {
-  const int rows = self.value.rows();
-  const int cols = self.value.cols();
-  HEAD_PROF_OP("nn.ConcatRows", rows, cols, 0, 0, int64_t{16} * rows * cols);
-  Tensor out = Tensor::Uninitialized(rows, cols);
-  int off = 0;
-  for (VarImpl* pi : self.parents) {
-    const Tensor& pv = pi->value;
-    CopyBlock(pv, 0, 0, pv.rows(), cols, out, off, 0);
-    off += pv.rows();
-  }
-  self.value = std::move(out);
-}
-
 }  // namespace
 
 Var ConcatCols(const std::vector<Var>& parts) {
@@ -784,7 +567,7 @@ Var ConcatCols(const std::vector<Var>& parts) {
     off += p.value().cols();
   }
   return MakeResult("nn.ConcatCols", std::move(out), parts,
-                    ConcatColsBackward, ConcatColsForward);
+                    ConcatColsBackward);
 }
 
 Var ConcatRows(const std::vector<Var>& parts) {
@@ -804,7 +587,7 @@ Var ConcatRows(const std::vector<Var>& parts) {
     off += p.value().rows();
   }
   return MakeResult("nn.ConcatRows", std::move(out), parts,
-                    ConcatRowsBackward, ConcatRowsForward);
+                    ConcatRowsBackward);
 }
 
 namespace {
@@ -837,38 +620,6 @@ void SumBackward(VarImpl& self) {
   a->AccumGrad(Tensor::Full(a->value.rows(), a->value.cols(), self.grad[0]));
 }
 
-void SliceColsForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const int c0 = self.aux_i;
-  Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
-  CopyBlock(av, 0, c0, out.rows(), out.cols(), out, 0, 0);
-  self.value = std::move(out);
-}
-
-void SliceRowsForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const int r0 = self.aux_i;
-  Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
-  CopyBlock(av, r0, 0, out.rows(), out.cols(), out, 0, 0);
-  self.value = std::move(out);
-}
-
-void ReshapeForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  Tensor out = Tensor::Uninitialized(self.value.rows(), self.value.cols());
-  for (int i = 0; i < out.size(); ++i) out[i] = av[i];
-  self.value = std::move(out);
-}
-
-void SumForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  HEAD_PROF_OP("nn.Sum", av.rows(), av.cols(), 0, int64_t{av.size()},
-               int64_t{8} * av.size());
-  double s = 0.0;
-  for (int i = 0; i < av.size(); ++i) s += av[i];
-  self.value = Tensor::Full(1, 1, s);
-}
-
 }  // namespace
 
 Var SliceCols(const Var& a, int c0, int c1) {
@@ -876,7 +627,7 @@ Var SliceCols(const Var& a, int c0, int c1) {
   Tensor out = Tensor::Uninitialized(a.value().rows(), c1 - c0);
   CopyBlock(a.value(), 0, c0, out.rows(), out.cols(), out, 0, 0);
   Var result = MakeResult("nn.SliceCols", std::move(out), {&a},
-                          SliceColsBackward, SliceColsForward);
+                          SliceColsBackward);
   result.node()->aux_i = c0;
   return result;
 }
@@ -886,7 +637,7 @@ Var SliceRows(const Var& a, int r0, int r1) {
   Tensor out = Tensor::Uninitialized(r1 - r0, a.value().cols());
   CopyBlock(a.value(), r0, 0, out.rows(), out.cols(), out, 0, 0);
   Var result = MakeResult("nn.SliceRows", std::move(out), {&a},
-                          SliceRowsBackward, SliceRowsForward);
+                          SliceRowsBackward);
   result.node()->aux_i = r0;
   return result;
 }
@@ -898,8 +649,7 @@ Var Reshape(const Var& a, int rows, int cols) {
   Tensor out = Tensor::Uninitialized(rows, cols);
   const Tensor& av = a.value();
   for (int i = 0; i < out.size(); ++i) out[i] = av[i];
-  return MakeResult("nn.Reshape", std::move(out), {&a}, ReshapeBackward,
-                    ReshapeForward);
+  return MakeResult("nn.Reshape", std::move(out), {&a}, ReshapeBackward);
 }
 
 Var Sum(const Var& a) {
@@ -907,8 +657,7 @@ Var Sum(const Var& a) {
                int64_t{a.value().size()}, int64_t{8} * a.value().size());
   double s = 0.0;
   for (int i = 0; i < a.value().size(); ++i) s += a.value()[i];
-  return MakeResult("nn.Sum", Tensor::Full(1, 1, s), {&a}, SumBackward,
-                    SumForward);
+  return MakeResult("nn.Sum", Tensor::Full(1, 1, s), {&a}, SumBackward);
 }
 
 Var Mean(const Var& a) {
@@ -917,8 +666,7 @@ Var Mean(const Var& a) {
 }
 
 Var Square(const Var& a) {
-  return UnaryElementwise("nn.Square", a, SquareF, UnaryBackward<SquareD>,
-                          UnaryForward<SquareF>);
+  return UnaryElementwise("nn.Square", a, SquareF, UnaryBackward<SquareD>);
 }
 
 Var MseLoss(const Var& pred, const Var& target) {
@@ -1011,94 +759,6 @@ void SumRowGroupsBackward(VarImpl& self) {
   a->AccumGrad(std::move(g));
 }
 
-void GatherRowsForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const int cols = av.cols();
-  const std::vector<int>& rows = self.indices;  // frozen at capture
-  HEAD_PROF_OP("nn.GatherRows", static_cast<int>(rows.size()), cols, 0, 0,
-               int64_t{16} * static_cast<int64_t>(rows.size()) * cols);
-  Tensor out = Tensor::Uninitialized(static_cast<int>(rows.size()), cols);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const double* src =
-        av.data().data() + static_cast<size_t>(rows[i]) * cols;
-    double* dst = out.data().data() + i * cols;
-    for (int c = 0; c < cols; ++c) dst[c] = src[c];
-  }
-  self.value = std::move(out);
-}
-
-void SelectColumnPerRowForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const std::vector<int>& cols = self.indices;  // re-fed per replay
-  HEAD_PROF_OP("nn.SelectColumnPerRow", av.rows(), av.cols(), 0, 0,
-               int64_t{16} * av.rows());
-  Tensor out = Tensor::Uninitialized(av.rows(), 1);
-  for (int r = 0; r < av.rows(); ++r) {
-    HEAD_CHECK(cols[r] >= 0 && cols[r] < av.cols());
-    out[r] = av.At(r, cols[r]);
-  }
-  self.value = std::move(out);
-}
-
-void RowwiseMaxForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  HEAD_PROF_OP("nn.RowwiseMax", av.rows(), av.cols(), 0, 0,
-               int64_t{8} * (av.size() + av.rows()));
-  Tensor out = Tensor::Uninitialized(av.rows(), 1);
-  self.indices.assign(av.rows(), 0);  // argmax recomputed for backward
-  for (int r = 0; r < av.rows(); ++r) {
-    int best = 0;
-    for (int c = 1; c < av.cols(); ++c) {
-      if (av.At(r, c) > av.At(r, best)) best = c;
-    }
-    self.indices[r] = best;
-    out[r] = av.At(r, best);
-  }
-  self.value = std::move(out);
-}
-
-void SumRowsForward(VarImpl& self) {
-  const Tensor& a = self.parents[0]->value;
-  HEAD_PROF_OP("nn.SumRows", a.rows(), a.cols(), 0, int64_t{a.size()},
-               int64_t{8} * a.size());
-  self.value = SumRows(a);
-}
-
-void ScaleRowsForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const Tensor& sv = self.parents[1]->value;
-  HEAD_PROF_OP("nn.ScaleRows", av.rows(), av.cols(), 0, int64_t{av.size()},
-               int64_t{24} * av.size());
-  const int cols = av.cols();
-  Tensor out = Tensor::Uninitialized(av.rows(), cols);
-  for (int r = 0; r < av.rows(); ++r) {
-    const double s = sv[r];
-    const double* src = av.data().data() + static_cast<size_t>(r) * cols;
-    double* dst = out.data().data() + static_cast<size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) dst[c] = src[c] * s;
-  }
-  self.value = std::move(out);
-}
-
-void SumRowGroupsForward(VarImpl& self) {
-  const Tensor& av = self.parents[0]->value;
-  const int group_size = self.aux_i;
-  const int groups = av.rows() / group_size;
-  const int cols = av.cols();
-  HEAD_PROF_OP("nn.SumRowGroups", av.rows(), cols, 0, int64_t{av.size()},
-               int64_t{16} * av.size());
-  Tensor out(groups, cols);  // zero-initialized, matching the eager op
-  for (int g = 0; g < groups; ++g) {
-    double* dst = out.data().data() + static_cast<size_t>(g) * cols;
-    for (int n = 0; n < group_size; ++n) {
-      const double* src =
-          av.data().data() + static_cast<size_t>(g * group_size + n) * cols;
-      for (int c = 0; c < cols; ++c) dst[c] += src[c];
-    }
-  }
-  self.value = std::move(out);
-}
-
 }  // namespace
 
 Var GatherRows(const Var& a, std::vector<int> rows) {
@@ -1115,7 +775,7 @@ Var GatherRows(const Var& a, std::vector<int> rows) {
     for (int c = 0; c < cols; ++c) dst[c] = src[c];
   }
   Var result = MakeResult("nn.GatherRows", std::move(out), {&a},
-                          GatherRowsBackward, GatherRowsForward);
+                          GatherRowsBackward);
   result.node()->indices = std::move(rows);
   return result;
 }
@@ -1131,12 +791,8 @@ Var SelectColumnPerRow(const Var& a, std::vector<int> cols) {
     out[r] = av.At(r, cols[r]);
   }
   Var result = MakeResult("nn.SelectColumnPerRow", std::move(out), {&a},
-                          SelectColumnPerRowBackward,
-                          SelectColumnPerRowForward);
+                          SelectColumnPerRowBackward);
   result.node()->indices = std::move(cols);
-  // The selected columns change per step (sampled behaviors): replays feed
-  // them through the plan's index slots.
-  if (plan_internal::Active()) plan_internal::RegisterIndexSlot(result.node());
   return result;
 }
 
@@ -1146,7 +802,7 @@ Var RowwiseMax(const Var& a) {
   HEAD_PROF_OP("nn.RowwiseMax", av.rows(), av.cols(), 0, 0,
                int64_t{8} * (av.size() + av.rows()));
   Var result = MakeResult("nn.RowwiseMax", Tensor::Uninitialized(av.rows(), 1), {&a},
-                          RowwiseMaxBackward, RowwiseMaxForward);
+                          RowwiseMaxBackward);
   VarImpl* node = result.node();
   // The argmax list reuses the node's index capacity across steps instead of
   // allocating a fresh vector per call.
@@ -1167,8 +823,7 @@ Var SumRows(const Var& a) {
   HEAD_PROF_OP("nn.SumRows", a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{8} * a.value().size());
   Tensor out = SumRows(a.value());
-  return MakeResult("nn.SumRows", std::move(out), {&a}, SumRowsBackward,
-                    SumRowsForward);
+  return MakeResult("nn.SumRows", std::move(out), {&a}, SumRowsBackward);
 }
 
 Var ScaleRows(const Var& a, const Var& scale) {
@@ -1187,7 +842,7 @@ Var ScaleRows(const Var& a, const Var& scale) {
     for (int c = 0; c < cols; ++c) dst[c] = src[c] * s;
   }
   return MakeResult("nn.ScaleRows", std::move(out), {&a, &scale},
-                    ScaleRowsBackward, ScaleRowsForward);
+                    ScaleRowsBackward);
 }
 
 Var SumRowGroups(const Var& a, int group_size) {
@@ -1208,7 +863,7 @@ Var SumRowGroups(const Var& a, int group_size) {
     }
   }
   Var result = MakeResult("nn.SumRowGroups", std::move(out), {&a},
-                          SumRowGroupsBackward, SumRowGroupsForward);
+                          SumRowGroupsBackward);
   result.node()->aux_i = group_size;
   return result;
 }

@@ -12,9 +12,8 @@ namespace {
 
 /// Stacks every sample's step-k nodes into one (B·42×4) tensor, 7
 /// consecutive rows per target (self first) — the data matrix the stacked
-/// pass consumes per step, and what the replay feeder re-feeds. Each sample
-/// packs into a disjoint block, so the loop fans out across the pool (grain
-/// keeps small batches on one worker).
+/// pass consumes per step. Each sample packs into a disjoint block, so the
+/// loop fans out across the pool (grain keeps small batches on one worker).
 nn::Tensor StackStepBatch(std::span<const StGraph* const> graphs, int k) {
   const int batch = static_cast<int>(graphs.size());
   const int rows_per_sample = kNumAreas * kNodesPerTarget;
@@ -100,7 +99,7 @@ nn::Var LstGat::ForwardStacked(std::span<const StGraph* const> graphs) const {
   nn::LstmState state = lstm_.InitialState(groups);
   for (int k = 0; k < z; ++k) {
     const nn::Var h_updated =
-        GatStepStacked(nn::PlanInput(StackStepBatch(graphs, k)), groups);
+        GatStepStacked(nn::Var::Constant(StackStepBatch(graphs, k)), groups);
     state = lstm_.Forward(h_updated, state);  // Eq. (12), batched over B·6
   }
   return head_.Forward(state.h);  // (B·6×3), Eq. (13)
@@ -122,15 +121,6 @@ nn::Var LstGat::ForwardScaled(const StGraph& graph) const {
   HEAD_SPAN("perception.lstgat.forward");
   const StGraph* const one = &graph;
   return ForwardStacked({&one, 1});
-}
-
-void LstGat::AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
-                                   std::vector<nn::Tensor>* inputs) const {
-  // One PlanInput per historical step, in ForwardStacked's loop order.
-  HEAD_CHECK(!graphs.empty());
-  for (int k = 0; k < graphs[0]->z(); ++k) {
-    inputs->push_back(StackStepBatch(graphs, k));
-  }
 }
 
 std::vector<double> LstGat::AttentionWeights(const StGraph& graph,

@@ -46,15 +46,6 @@ class LstGat : public StatePredictor {
   nn::Var ForwardScaledBatch(
       const std::vector<const StGraph*>& graphs) const override;
 
-  /// Both forward passes build a fixed graph for a given z whose data
-  /// enters only through nn::PlanInput — compilable into an ExecPlan.
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
-                             std::vector<nn::Tensor>* inputs) const override;
-  const char* ForwardSpanName() const override {
-    return "perception.lstgat.forward";
-  }
-
   std::vector<nn::Var> Params() const override;
 
   const LstGatConfig& config() const { return config_; }

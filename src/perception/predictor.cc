@@ -9,15 +9,6 @@
 
 namespace head::perception {
 
-namespace {
-
-/// Plans are keyed by history depth z; predictors see a single z in any
-/// given deployment, so the cap only bounds pathological callers — extra
-/// depths just run eagerly.
-constexpr size_t kMaxPredictPlans = 8;
-
-}  // namespace
-
 nn::Var StatePredictor::ForwardScaledBatch(
     const std::vector<const StGraph*>& graphs) const {
   HEAD_CHECK(!graphs.empty());
@@ -25,12 +16,6 @@ nn::Var StatePredictor::ForwardScaledBatch(
   rows.reserve(graphs.size());
   for (const StGraph* g : graphs) rows.push_back(ForwardScaled(*g));
   return rows.size() == 1 ? rows[0] : nn::ConcatRows(rows);
-}
-
-// The feeder is only reachable through PlanCapturable() == true overrides.
-void StatePredictor::AppendPlanInputsBatch(const std::vector<const StGraph*>&,
-                                           std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
 }
 
 Prediction StatePredictor::Predict(const StGraph& graph) const {
@@ -43,32 +28,8 @@ Prediction StatePredictor::Predict(const StGraph& graph) const {
   nn::ResetTape();
   const nn::NoGradGuard no_grad;
 
-  nn::Tensor value;  // (6×3) scaled residuals
-  bool have_value = false;
-  std::shared_ptr<const nn::ExecPlan> plan;
-  if (static_plans_ && nn::PlansEnabled() && PlanCapturable()) {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    const auto it = predict_plans_.find(graph.z());
-    if (it != predict_plans_.end()) {
-      plan = it->second;
-    } else if (predict_plans_.size() < kMaxPredictPlans) {
-      // Capture runs the forward eagerly as it records — its output IS this
-      // prediction; replay starts at the next call.
-      nn::PlanCapture capture;
-      const nn::Var out = ForwardScaled(graph);
-      value = out.value();
-      have_value = true;
-      predict_plans_.emplace(graph.z(), capture.Finish({out}));
-    }
-  }
-  if (plan != nullptr) {
-    const obs::ScopedSpan span(ForwardSpanName());
-    std::vector<nn::Tensor> in;
-    AppendPlanInputsBatch({&graph}, &in);
-    value = *plan->Replay(std::move(in))[0];
-  } else if (!have_value) {
-    value = ForwardScaled(graph).value();
-  }
+  const nn::Var out = ForwardScaled(graph);
+  const nn::Tensor& value = out.value();  // (6×3) scaled residuals
   HEAD_CHECK_EQ(value.rows(), kNumAreas);
   HEAD_CHECK_EQ(value.cols(), 3);
   Prediction pred;

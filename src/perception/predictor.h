@@ -11,13 +11,10 @@
 
 #include <array>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/layers.h"
-#include "nn/plan.h"
 #include "perception/st_graph.h"
 
 namespace head::perception {
@@ -64,48 +61,15 @@ class StatePredictor : public nn::Module {
   virtual nn::Var ForwardScaledBatch(
       const std::vector<const StGraph*>& graphs) const;
 
-  /// True when ForwardScaled/ForwardScaledBatch build a fixed-shape graph
-  /// for a given history depth z whose data enters only through
-  /// nn::PlanInput, so Predict and the trainer may compile the pass into a
-  /// static nn::ExecPlan. The per-sample stacking default is not. A
-  /// capturable ForwardScaled(graph) must consume its inputs exactly as
-  /// ForwardScaledBatch({&graph}) does.
-  virtual bool PlanCapturable() const { return false; }
-  /// Replay feeder: pushes the input tensors in the exact order a captured
-  /// ForwardScaledBatch(graphs) — or, for one graph, ForwardScaled —
-  /// consumed them. Only valid when PlanCapturable().
-  virtual void AppendPlanInputsBatch(const std::vector<const StGraph*>& graphs,
-                                     std::vector<nn::Tensor>* inputs) const;
-  /// Trace-span name a replayed forward pass is attributed to — the same
-  /// span the model's eager ForwardScaled opens, so traces look identical
-  /// whether a step ran eagerly or as a plan replay.
-  virtual const char* ForwardSpanName() const { return "perception.forward"; }
-
-  /// Inference: decodes ForwardScaled into absolute relative states.
-  /// When PlanCapturable(), the forward pass is compiled into one ExecPlan
-  /// per history depth z on first use and replayed afterwards — safe to call
-  /// concurrently from EnvPool workers (replay state is per-thread).
+  /// Inference: decodes ForwardScaled into absolute relative states. Safe
+  /// to call concurrently from EnvPool workers — each thread builds its
+  /// forward pass on its own tape.
   Prediction Predict(const StGraph& graph) const;
-
-  /// Disables plan compilation for this predictor (e.g. when the caller
-  /// mutates parameters structurally between predictions). Plans also
-  /// respect the global HEAD_PLANS=0 switch.
-  void set_static_plans(bool on) { static_plans_ = on; }
-  bool static_plans() const { return static_plans_; }
 
   const FeatureScale& scale() const { return scale_; }
 
  protected:
   FeatureScale scale_;
-
- private:
-  bool static_plans_ = true;
-  /// Predict's compiled plans, keyed by history depth z (shapes depend only
-  /// on z for a capturable predictor). Guarded: Predict may race with
-  /// itself across EnvPool workers.
-  mutable std::mutex plan_mu_;
-  mutable std::unordered_map<int, std::shared_ptr<const nn::ExecPlan>>
-      predict_plans_;
 };
 
 /// Scaled residual truth used for the regression loss: per target,

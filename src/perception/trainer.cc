@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <numeric>
-#include <optional>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -65,9 +62,6 @@ BatchTargets BuildBatchTargets(const StatePredictor& model,
 }
 
 /// Mean masked scaled MSE of a whole minibatch as ONE differentiable Var.
-/// Input order under plan capture: the model's own state tensors (inside
-/// ForwardScaledBatch), then truth, then weight — the order the trainer's
-/// replay feeder reproduces.
 nn::Var BatchLoss(const StatePredictor& model,
                   const std::vector<const PredictionSample*>& batch) {
   const int b = static_cast<int>(batch.size());
@@ -76,20 +70,11 @@ nn::Var BatchLoss(const StatePredictor& model,
   for (const PredictionSample* s : batch) graphs.push_back(&s->graph);
   BatchTargets targets = BuildBatchTargets(model, batch);
   const nn::Var pred = model.ForwardScaledBatch(graphs);
-  const nn::Var err = nn::Sub(pred, nn::PlanInput(std::move(targets.truth)));
+  const nn::Var err =
+      nn::Sub(pred, nn::Var::Constant(std::move(targets.truth)));
   const nn::Var weighted =
-      nn::Mul(nn::Square(err), nn::PlanInput(std::move(targets.weight)));
+      nn::Mul(nn::Square(err), nn::Var::Constant(std::move(targets.weight)));
   return nn::Scale(nn::Sum(weighted), 1.0 / b);
-}
-
-/// True when every graph in the batch has the same history depth z — the
-/// precondition for the model's vectorized pass (and thus a plan) to apply.
-bool UniformDepth(const std::vector<const PredictionSample*>& batch) {
-  const int z = batch[0]->graph.z();
-  for (const PredictionSample* s : batch) {
-    if (s->graph.z() != z) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -124,18 +109,6 @@ PredictionTrainResult TrainPredictor(
   static obs::Histogram& epoch_latency =
       obs::LatencyHistogram("perception.train.epoch");
 
-  // Step plans, keyed by (batch size, history depth): each distinct shape
-  // the shuffle produces (full batches plus one remainder) compiles once on
-  // first use; replay then runs the identical step with zero graph
-  // construction. Extra shapes beyond the cap just run eagerly.
-  const bool plans_allowed = config.static_plans && config.batched &&
-                             nn::PlansEnabled() && model.PlanCapturable();
-  constexpr size_t kMaxTrainPlans = 8;
-  PredictorPlanCache local_cache;
-  auto& plans = (config.plan_cache != nullptr ? *config.plan_cache
-                                              : local_cache)
-                    .plans;
-
   PredictionTrainResult result;
   const auto start = std::chrono::steady_clock::now();
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -149,46 +122,13 @@ PredictionTrainResult TrainPredictor(
       nn::ResetTape();  // steady state: the whole batch reuses recycled nodes
       opt.ZeroGrad();
       double step_loss;
-      std::vector<const PredictionSample*> batch;
       if (config.batched) {
+        std::vector<const PredictionSample*> batch;
         batch.reserve(end - b);
         for (size_t k = b; k < end; ++k) batch.push_back(&train[order[k]]);
-      }
-      std::shared_ptr<const nn::ExecPlan> plan;
-      bool may_capture = false;
-      int64_t key = 0;
-      if (plans_allowed && UniformDepth(batch)) {
-        key = (static_cast<int64_t>(batch.size()) << 32) |
-              batch[0]->graph.z();
-        const auto it = plans.find(key);
-        if (it != plans.end()) {
-          plan = it->second;
-        } else {
-          may_capture = plans.size() < kMaxTrainPlans;
-        }
-      }
-      if (plan != nullptr) {
-        // Replay slots mirror BatchLoss: the model's per-step state stacks,
-        // then the stacked truth and weight targets. The recorded backward
-        // leaves the minibatch gradient in the Param grads.
-        std::vector<const StGraph*> graphs;
-        graphs.reserve(batch.size());
-        for (const PredictionSample* s : batch) graphs.push_back(&s->graph);
-        std::vector<nn::Tensor> in;
-        model.AppendPlanInputsBatch(graphs, &in);
-        BatchTargets targets = BuildBatchTargets(model, batch);
-        in.push_back(std::move(targets.truth));
-        in.push_back(std::move(targets.weight));
-        step_loss = (*plan->Replay(std::move(in))[0])[0];
-      } else if (config.batched) {
-        // Capture runs the step eagerly as it records, so this branch IS
-        // the eager step — with a plan compiled when cacheable.
-        std::optional<nn::PlanCapture> capture;
-        if (may_capture) capture.emplace();
         const nn::Var batch_loss = BatchLoss(model, batch);
         step_loss = batch_loss.value()[0];
         nn::Backward(batch_loss);
-        if (may_capture) plans.emplace(key, capture->Finish({batch_loss}));
       } else {
         std::vector<nn::Var> losses;
         losses.reserve(end - b);

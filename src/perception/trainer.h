@@ -5,23 +5,12 @@
 #define HEAD_PERCEPTION_TRAINER_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/timeseries.h"
 #include "perception/predictor.h"
 
 namespace head::perception {
-
-/// Compiled step plans keyed by (batch size << 32 | history depth). Owned by
-/// the caller when handed to TrainPredictor via PredictionTrainConfig, so
-/// plans compiled by one call are replayed by the next — repeated short
-/// training runs (resumed training, benchmarks) skip recapture and run
-/// steady-state replays throughout.
-struct PredictorPlanCache {
-  std::unordered_map<int64_t, std::shared_ptr<const nn::ExecPlan>> plans;
-};
 
 struct PredictionTrainConfig {
   int epochs = 15;          // paper Sec. V-A
@@ -33,16 +22,6 @@ struct PredictionTrainConfig {
   /// minibatch instead of one graph per sample. Same objective (gradient-
   /// parity tested); the per-sample path is kept as a reference.
   bool batched = true;
-  /// Compile the batched forward+backward step into a static nn::ExecPlan
-  /// per (batch size, history depth) on first use and replay it afterwards.
-  /// Bitwise identical to eager execution; requires `batched`, a
-  /// PlanCapturable() model, and batches with a uniform history depth z
-  /// (others fall back to eager). Also gated globally by HEAD_PLANS=0.
-  bool static_plans = true;
-  /// Optional shared plan cache (not owned; must outlive the call). When
-  /// null, each TrainPredictor call compiles into a private cache that dies
-  /// with it.
-  PredictorPlanCache* plan_cache = nullptr;
   /// Optional training-curve sink (not owned; must outlive the call). When
   /// set, every epoch appends one row: epoch index, mean masked scaled MSE,
   /// and its RMSE.

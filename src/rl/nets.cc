@@ -1,7 +1,6 @@
 #include "rl/nets.h"
 
 #include "common/check.h"
-#include "nn/plan.h"
 
 namespace head::rl {
 
@@ -38,24 +37,6 @@ nn::Var XNet::ForwardBatch(
   return nn::ConcatRows(rows);
 }
 
-// Feeders are only reachable through PlanCapturable() == true overrides.
-void XNet::AppendPlanInputs(const AugmentedState&,
-                            std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void XNet::AppendPlanInputsBatch(const std::vector<const AugmentedState*>&,
-                                 std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void QNet::AppendPlanInputs(const AugmentedState&,
-                            std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-void QNet::AppendPlanInputsBatch(const std::vector<const AugmentedState*>&,
-                                 std::vector<nn::Tensor>*) const {
-  HEAD_CHECK(false);
-}
-
 nn::Var QNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
                            const nn::Var& x) const {
   HEAD_CHECK(!batch.empty());
@@ -89,9 +70,7 @@ nn::Var BranchEncoder::Forward(const nn::Tensor& block) const {
 nn::Var BranchEncoder::ForwardStacked(const nn::Tensor& blocks,
                                       int batch) const {
   HEAD_CHECK_EQ(blocks.rows(), batch * rows_);
-  // PlanInput ≡ Constant outside capture; under PdqnAgent's plan capture it
-  // becomes the replay slot the stacked blocks are re-fed through.
-  const nn::Var x = nn::PlanInput(blocks);
+  const nn::Var x = nn::Var::Constant(blocks);
   // LeakyReLU in place of the paper's ReLU: the reduction to one scalar per
   // vehicle makes plain ReLU units die irrecoverably during RL training
   // (observed empirically), freezing the whole branch; the leaky slope
@@ -132,20 +111,6 @@ nn::Var BpXNet::ForwardBatch(
   return nn::Scale(out_.Forward(merged, nn::FusedAct::kTanh), a_max_);  // Eq. (25)
 }
 
-void BpXNet::AppendPlanInputs(const AugmentedState& s,
-                              std::vector<nn::Tensor>* inputs) const {
-  const std::vector<const AugmentedState*> one{&s};
-  AppendPlanInputsBatch(one, inputs);
-}
-
-void BpXNet::AppendPlanInputsBatch(
-    const std::vector<const AugmentedState*>& batch,
-    std::vector<nn::Tensor>* inputs) const {
-  // Mirrors ForwardBatch's consumption order: h stack, then f stack.
-  inputs->push_back(StackBlocks(batch, /*h_block=*/true));
-  inputs->push_back(StackBlocks(batch, /*h_block=*/false));
-}
-
 std::vector<nn::Var> BpXNet::Params() const {
   std::vector<nn::Var> p = h_branch_.Params();
   for (const nn::Var& v : f_branch_.Params()) p.push_back(v);
@@ -184,21 +149,6 @@ nn::Var BpQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
   return out_.Forward(fuse_.Forward(merged, nn::FusedAct::kLeakyRelu));
 }
 
-void BpQNet::AppendPlanInputs(const AugmentedState& s,
-                              std::vector<nn::Tensor>* inputs) const {
-  const std::vector<const AugmentedState*> one{&s};
-  AppendPlanInputsBatch(one, inputs);
-}
-
-void BpQNet::AppendPlanInputsBatch(
-    const std::vector<const AugmentedState*>& batch,
-    std::vector<nn::Tensor>* inputs) const {
-  // The x branch consumes the caller-fed x node first; the state stacks
-  // follow in ForwardBatch's ConcatCols order: h, then f.
-  inputs->push_back(StackBlocks(batch, /*h_block=*/true));
-  inputs->push_back(StackBlocks(batch, /*h_block=*/false));
-}
-
 std::vector<nn::Var> BpQNet::Params() const {
   std::vector<nn::Var> p = h_branch_.Params();
   for (const nn::Var& v : f_branch_.Params()) p.push_back(v);
@@ -219,25 +169,14 @@ FlatXNet::FlatXNet(int hidden, double a_max, Rng& rng)
 }
 
 nn::Var FlatXNet::Forward(const AugmentedState& s) const {
-  const nn::Var flat = nn::PlanInput(FlattenState(s));
+  const nn::Var flat = nn::Var::Constant(FlattenState(s));
   return nn::Scale(nn::Tanh(mlp_.Forward(flat)), a_max_);
 }
 
 nn::Var FlatXNet::ForwardBatch(
     const std::vector<const AugmentedState*>& batch) const {
-  const nn::Var flat = nn::PlanInput(FlattenStates(batch));
+  const nn::Var flat = nn::Var::Constant(FlattenStates(batch));
   return nn::Scale(nn::Tanh(mlp_.Forward(flat)), a_max_);
-}
-
-void FlatXNet::AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenState(s));
-}
-
-void FlatXNet::AppendPlanInputsBatch(
-    const std::vector<const AugmentedState*>& batch,
-    std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenStates(batch));
 }
 
 std::vector<nn::Var> FlatXNet::Params() const { return mlp_.Params(); }
@@ -250,7 +189,7 @@ FlatQNet::FlatQNet(int hidden, Rng& rng)
 nn::Var FlatQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
   // The wrong-weight-sharing structure the paper improves on: raw state
   // features and the action parameters enter one shared layer.
-  const nn::Var joint = nn::ConcatCols({nn::PlanInput(FlattenState(s)), x});
+  const nn::Var joint = nn::ConcatCols({nn::Var::Constant(FlattenState(s)), x});
   return out_.Forward(mid_.Forward(
       in_.Forward(joint, nn::FusedAct::kRelu), nn::FusedAct::kRelu));
 }
@@ -258,20 +197,10 @@ nn::Var FlatQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
 nn::Var FlatQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
                                const nn::Var& x) const {
   HEAD_CHECK_EQ(x.value().rows(), static_cast<int>(batch.size()));
-  const nn::Var joint = nn::ConcatCols({nn::PlanInput(FlattenStates(batch)), x});
+  const nn::Var joint =
+      nn::ConcatCols({nn::Var::Constant(FlattenStates(batch)), x});
   return out_.Forward(mid_.Forward(
       in_.Forward(joint, nn::FusedAct::kRelu), nn::FusedAct::kRelu));
-}
-
-void FlatQNet::AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenState(s));
-}
-
-void FlatQNet::AppendPlanInputsBatch(
-    const std::vector<const AugmentedState*>& batch,
-    std::vector<nn::Tensor>* inputs) const {
-  inputs->push_back(FlattenStates(batch));
 }
 
 std::vector<nn::Var> FlatQNet::Params() const {

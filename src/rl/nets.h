@@ -26,18 +26,6 @@ class XNet : public nn::Module {
   /// override it with a genuinely vectorized pass.
   virtual nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const;
-  /// True when Forward/ForwardBatch build a fixed-shape graph whose data
-  /// enters only through nn::PlanInput, so PdqnAgent may compile the step
-  /// into an nn::ExecPlan. The per-sample stacking default is not.
-  virtual bool PlanCapturable() const { return false; }
-  /// Replay feeders: push the per-step input tensors in the exact order a
-  /// captured Forward(s) / ForwardBatch(batch) consumed them. Only valid
-  /// when PlanCapturable().
-  virtual void AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const;
-  virtual void AppendPlanInputsBatch(
-      const std::vector<const AugmentedState*>& batch,
-      std::vector<nn::Tensor>* inputs) const;
 };
 
 /// Action-value network Q(s, x; θQ): three Q values, one per behavior.
@@ -49,14 +37,6 @@ class QNet : public nn::Module {
   /// Minibatch forward; `x` is (B×3) and gradients still flow through it.
   virtual nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                                const nn::Var& x) const;
-  /// Plan support (see XNet). The feeders cover the *state* inputs only —
-  /// `x` is a graph node the caller feeds separately.
-  virtual bool PlanCapturable() const { return false; }
-  virtual void AppendPlanInputs(const AugmentedState& s,
-                                std::vector<nn::Tensor>* inputs) const;
-  virtual void AppendPlanInputsBatch(
-      const std::vector<const AugmentedState*>& batch,
-      std::vector<nn::Tensor>* inputs) const;
 };
 
 /// Per-vehicle branch of Eq. (24)/(26): ReLU(φ_b·ReLU(φ_a·X + b_a) + b_b)
@@ -86,11 +66,6 @@ class BpXNet : public XNet {
   nn::Var Forward(const AugmentedState& s) const override;  // Eq. (25)
   nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
-  void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
-                             std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
 
  private:
@@ -106,11 +81,6 @@ class BpQNet : public QNet {
   nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
-  void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
-                             std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
 
  private:
@@ -135,11 +105,6 @@ class FlatXNet : public XNet {
   nn::Var Forward(const AugmentedState& s) const override;
   nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
-  void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
-                             std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
 
  private:
@@ -153,11 +118,6 @@ class FlatQNet : public QNet {
   nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
-  bool PlanCapturable() const override { return true; }
-  void AppendPlanInputs(const AugmentedState& s,
-                        std::vector<nn::Tensor>* inputs) const override;
-  void AppendPlanInputsBatch(const std::vector<const AugmentedState*>& batch,
-                             std::vector<nn::Tensor>* inputs) const override;
   std::vector<nn::Var> Params() const override;
 
  private:

@@ -1,7 +1,6 @@
 #include "rl/pdqn_agent.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -28,11 +27,6 @@ double MaxVal(const nn::Tensor& row) {
   return m;
 }
 
-/// Per-site plan-cache cap: update plans are keyed by batch size, which is
-/// nearly always a single value (config batch_size); the cap bounds memory
-/// if a caller cycles through many sizes — extras just run eagerly.
-constexpr size_t kMaxPlansPerSite = 8;
-
 }  // namespace
 
 PdqnAgent::PdqnAgent(std::string name, const PdqnConfig& config,
@@ -51,57 +45,15 @@ PdqnAgent::PdqnAgent(std::string name, const PdqnConfig& config,
   q_target_->CopyParamsFrom(*q_);
 }
 
-bool PdqnAgent::PlansOn() const {
-  return config_.static_plans && nn::PlansEnabled() && x_->PlanCapturable() &&
-         q_->PlanCapturable() && x_target_->PlanCapturable() &&
-         q_target_->PlanCapturable();
-}
-
 AgentAction PdqnAgent::Act(const AugmentedState& state, double epsilon,
                            Rng& rng) {
   HEAD_PROF_SCOPE("rl.act");  // profiler root for action selection
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
-  const bool use_plans = PlansOn();
-
-  nn::Tensor x;  // (1×3)
-  if (use_plans) {
-    std::shared_ptr<const nn::ExecPlan> plan;
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      if (act_x_plan_ == nullptr) {
-        nn::PlanCapture capture;
-        act_x_plan_ = capture.Finish({x_->Forward(state)});
-      }
-      plan = act_x_plan_;
-    }
-    std::vector<nn::Tensor> in;
-    x_->AppendPlanInputs(state, &in);
-    x = *plan->Replay(std::move(in))[0];
-  } else {
-    x = x_->Forward(state).value();
-  }
+  nn::Tensor x = x_->Forward(state).value();  // (1×3)
 
   // Critic evaluation, shared by the greedy branch and the audit trail.
-  // Replay slot order: the caller-fed x first (BpQNet/FlatQNet consume the
-  // x Var before their state inputs), then the net's own state tensors.
   const auto critic_q = [&](const nn::Tensor& xin) -> nn::Tensor {
-    if (use_plans) {
-      std::shared_ptr<const nn::ExecPlan> plan;
-      {
-        std::lock_guard<std::mutex> lock(plan_mu_);
-        if (act_q_plan_ == nullptr) {
-          nn::PlanCapture capture;
-          act_q_plan_ =
-              capture.Finish({q_->Forward(state, nn::PlanInput(xin))});
-        }
-        plan = act_q_plan_;
-      }
-      std::vector<nn::Tensor> in;
-      in.push_back(xin);
-      q_->AppendPlanInputs(state, &in);
-      return *plan->Replay(std::move(in))[0];
-    }
     return q_->Forward(state, nn::Var::Constant(xin)).value();
   };
 
@@ -259,37 +211,14 @@ void PdqnAgent::UpdateCriticBatched(
     }
   }
 
-  const bool use_plans = PlansOn();
-
   // TD targets y = r + γ·max_b Q'(s', x'(s'))·(1 − done), all under no-grad:
   // the target networks never receive gradients, so no closures are built.
   nn::Tensor y(b, 1);
   {
     const nn::NoGradGuard no_grad;
-    std::shared_ptr<const nn::ExecPlan> plan;
-    if (use_plans) {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      const auto it = critic_target_plans_.find(b);
-      if (it != critic_target_plans_.end()) {
-        plan = it->second;
-      } else if (critic_target_plans_.size() < kMaxPlansPerSite) {
-        nn::PlanCapture capture;
-        const nn::Var x_next = x_target_->ForwardBatch(next_states);
-        plan =
-            capture.Finish({q_target_->ForwardBatch(next_states, x_next)});
-        critic_target_plans_.emplace(b, plan);
-      }
-    }
-    nn::Tensor q_next;  // (B×3)
-    if (plan != nullptr) {
-      std::vector<nn::Tensor> in;
-      x_target_->AppendPlanInputsBatch(next_states, &in);
-      q_target_->AppendPlanInputsBatch(next_states, &in);
-      q_next = *plan->Replay(std::move(in))[0];
-    } else {
-      const nn::Var x_next = x_target_->ForwardBatch(next_states);
-      q_next = q_target_->ForwardBatch(next_states, x_next).value();
-    }
+    const nn::Var x_next = x_target_->ForwardBatch(next_states);
+    const nn::Tensor& q_next =
+        q_target_->ForwardBatch(next_states, x_next).value();  // (B×3)
     // Raw rowwise-max kernel — no autograd node; this whole block is
     // no-grad and the argmax is never needed.
     const nn::Tensor q_max = nn::RowwiseMax(q_next);
@@ -301,49 +230,15 @@ void PdqnAgent::UpdateCriticBatched(
 
   // One graph for the whole minibatch: Q(s,x) as (B×3), the chosen
   // behavior's value picked per row, ½·mean((Q_b − y)²) as in Eq. (22).
-  // The plan for this step carries the recorded backward pass: a replay
-  // leaves the minibatch gradient in the Param grads exactly as nn::Backward
-  // would, and the optimizer consumes it identically.
   q_opt_.ZeroGrad();
-  std::shared_ptr<const nn::ExecPlan> plan;
-  bool may_capture = false;
-  if (use_plans) {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    const auto it = critic_main_plans_.find(b);
-    if (it != critic_main_plans_.end()) {
-      plan = it->second;
-    } else {
-      may_capture = critic_main_plans_.size() < kMaxPlansPerSite;
-    }
-  }
-  double loss_val;
-  if (plan != nullptr) {
-    // Replay slots: the action-parameter matrix (fed to ForwardBatch before
-    // the state stacks), the critic's state inputs, the targets y; the
-    // selected behaviors travel through the plan's index slot.
-    std::vector<nn::Tensor> in;
-    in.push_back(std::move(params));
-    q_->AppendPlanInputsBatch(states, &in);
-    in.push_back(std::move(y));
-    loss_val = (*plan->Replay(std::move(in), {&behaviors})[0])[0];
-  } else {
-    // Capture runs the step eagerly as it records, so this branch IS the
-    // eager step — with a plan compiled as a side effect when cacheable.
-    std::optional<nn::PlanCapture> capture;
-    if (may_capture) capture.emplace();
-    const nn::Var q_all =
-        q_->ForwardBatch(states, nn::PlanInput(std::move(params)));
-    const nn::Var q_b = nn::SelectColumnPerRow(q_all, std::move(behaviors));
-    const nn::Var loss = nn::Scale(
-        nn::Sum(nn::Square(nn::Sub(q_b, nn::PlanInput(std::move(y))))),
-        0.5 / b);
-    nn::Backward(loss);
-    loss_val = loss.value()[0];
-    if (may_capture) {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      critic_main_plans_.emplace(b, capture->Finish({loss}));
-    }
-  }
+  const nn::Var q_all =
+      q_->ForwardBatch(states, nn::Var::Constant(std::move(params)));
+  const nn::Var q_b = nn::SelectColumnPerRow(q_all, std::move(behaviors));
+  const nn::Var loss = nn::Scale(
+      nn::Sum(nn::Square(nn::Sub(q_b, nn::Var::Constant(std::move(y))))),
+      0.5 / b);
+  nn::Backward(loss);
+  const double loss_val = loss.value()[0];
   const double grad_norm = q_opt_.ClipGradNorm(10.0);
   q_opt_.Step();
 
@@ -363,37 +258,10 @@ void PdqnAgent::UpdateActorBatched(
 
   x_opt_.ZeroGrad();
   q_->ZeroGrad();  // critic grads from this pass are discarded
-  std::shared_ptr<const nn::ExecPlan> plan;
-  bool may_capture = false;
-  if (PlansOn()) {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    const auto it = actor_plans_.find(b);
-    if (it != actor_plans_.end()) {
-      plan = it->second;
-    } else {
-      may_capture = actor_plans_.size() < kMaxPlansPerSite;
-    }
-  }
-  if (plan != nullptr) {
-    // Replay slots: the actor's state inputs, then the critic's (the x Var
-    // flows between them as a captured graph edge). The recorded backward
-    // leaves Eq. (23)'s gradient in the x-net Param grads.
-    std::vector<nn::Tensor> in;
-    x_->AppendPlanInputsBatch(states, &in);
-    q_->AppendPlanInputsBatch(states, &in);
-    plan->Replay(std::move(in));
-  } else {
-    std::optional<nn::PlanCapture> capture;
-    if (may_capture) capture.emplace();
-    const nn::Var x = x_->ForwardBatch(states);
-    const nn::Var q_all = q_->ForwardBatch(states, x);
-    const nn::Var loss = nn::Scale(nn::Sum(q_all), -1.0 / b);  // Eq. (23)
-    nn::Backward(loss);
-    if (may_capture) {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      actor_plans_.emplace(b, capture->Finish({loss}));
-    }
-  }
+  const nn::Var x = x_->ForwardBatch(states);
+  const nn::Var q_all = q_->ForwardBatch(states, x);
+  const nn::Var loss = nn::Scale(nn::Sum(q_all), -1.0 / b);  // Eq. (23)
+  nn::Backward(loss);
   const double grad_norm = x_opt_.ClipGradNorm(10.0);
   x_opt_.Step();
 

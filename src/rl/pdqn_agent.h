@@ -14,12 +14,9 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "nn/optimizer.h"
-#include "nn/plan.h"
 #include "rl/nets.h"
 #include "rl/replay_buffer.h"
 
@@ -54,10 +51,6 @@ struct PdqnConfig {
   /// of one per transition. Identical math (gradient-parity tested); the
   /// per-sample path is kept for that parity test and as a reference.
   bool batched_updates = true;
-  /// Compile Act/Update steps into static nn::ExecPlans on first use and
-  /// replay them afterwards (zero per-step graph construction). Bitwise
-  /// identical to eager execution; also gated globally by HEAD_PLANS=0.
-  bool static_plans = true;
 };
 
 class PdqnAgent : public PamdpAgent {
@@ -94,9 +87,6 @@ class PdqnAgent : public PamdpAgent {
   void UpdateActor(const std::vector<const Transition*>& batch);
   void UpdateCriticBatched(const std::vector<const Transition*>& batch);
   void UpdateActorBatched(const std::vector<const Transition*>& batch);
-  /// True when this agent compiles and replays static execution plans:
-  /// config + HEAD_PLANS env + all four nets build plan-capturable graphs.
-  bool PlansOn() const;
 
   std::string name_;
   PdqnConfig config_;
@@ -108,20 +98,6 @@ class PdqnAgent : public PamdpAgent {
   nn::Adam x_opt_;
   ReplayBuffer buffer_;
   long update_calls_ = 0;
-
-  /// Compiled step plans, captured lazily on first use. Act's plans are
-  /// forward-only and replayed concurrently from EnvPool workers (replay
-  /// state is per-thread); the update plans carry a recorded backward pass
-  /// and run on the single learner thread. Update plans are keyed by batch
-  /// size — unseen sizes beyond the cache cap fall back to eager execution.
-  mutable std::mutex plan_mu_;
-  std::shared_ptr<const nn::ExecPlan> act_x_plan_;
-  std::shared_ptr<const nn::ExecPlan> act_q_plan_;
-  std::unordered_map<int, std::shared_ptr<const nn::ExecPlan>>
-      critic_target_plans_;
-  std::unordered_map<int, std::shared_ptr<const nn::ExecPlan>>
-      critic_main_plans_;
-  std::unordered_map<int, std::shared_ptr<const nn::ExecPlan>> actor_plans_;
 };
 
 /// BP-DQN: the paper's branched parameterized deep Q-network.

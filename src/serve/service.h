@@ -21,7 +21,7 @@
 // histograms (p50/p95/p99), serve.batch_size histogram, serve.queue_depth
 // gauge, serve.requests / replies / batches / rejected / deadline_missed /
 // alloc_events counters, and a HEAD_PROF_SCOPE("serve.batch") profiler root
-// over the replay hot path.
+// over the batch hot path.
 #ifndef HEAD_SERVE_SERVICE_H_
 #define HEAD_SERVE_SERVICE_H_
 

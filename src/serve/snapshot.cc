@@ -12,19 +12,6 @@ namespace head::serve {
 
 namespace {
 
-/// Power-of-two bucket caps the number of plans a snapshot compiles at
-/// log2(largest batch) while wasting at most 2× forward work on a ragged
-/// tail batch.
-int BucketFor(int n) {
-  int b = 1;
-  while (b < n) b <<= 1;
-  return b;
-}
-
-/// Plans per cache map; buckets beyond the cap run eagerly. Power-of-two
-/// keys make 8 enough for batches up to 128.
-constexpr size_t kMaxPlansPerCache = 8;
-
 int ArgMaxRow(const nn::Tensor& t, int row) {
   int best = 0;
   for (int c = 1; c < t.cols(); ++c) {
@@ -44,12 +31,6 @@ ModelSnapshot::ModelSnapshot(uint64_t version, std::unique_ptr<rl::XNet> x,
       predictor_(std::move(predictor)) {
   HEAD_CHECK(x_ != nullptr);
   HEAD_CHECK(q_ != nullptr);
-  zero_state_.h = nn::Tensor::Zeros(rl::kStateHRows, rl::kStateCols);
-  zero_state_.f = nn::Tensor::Zeros(rl::kStateFRows, rl::kStateCols);
-}
-
-bool ModelSnapshot::DecisionPlansOn() const {
-  return nn::PlansEnabled() && x_->PlanCapturable() && q_->PlanCapturable();
 }
 
 void ModelSnapshot::DecideBatch(
@@ -61,51 +42,11 @@ void ModelSnapshot::DecideBatch(
   nn::ResetTape();  // recycle the previous batch's nodes on this thread
   const nn::NoGradGuard no_grad;
 
-  nn::Tensor xv;  // (B×3) accelerations
-  nn::Tensor qv;  // (B×3) action values
-  bool have = false;
-  if (DecisionPlansOn()) {
-    const int bucket = BucketFor(n);
-    std::vector<const rl::AugmentedState*> padded = states;
-    padded.resize(static_cast<size_t>(bucket), &zero_state_);
-    std::shared_ptr<const nn::ExecPlan> plan;
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      const auto it = decide_plans_.find(bucket);
-      if (it != decide_plans_.end()) {
-        plan = it->second;
-      } else if (decide_plans_.size() < kMaxPlansPerCache) {
-        // Capture runs the step eagerly as it records — its outputs serve
-        // this batch; replay starts at the next batch of this bucket.
-        nn::PlanCapture capture;
-        const nn::Var x = x_->ForwardBatch(padded);
-        const nn::Var q = q_->ForwardBatch(padded, x);
-        xv = x.value();
-        qv = q.value();
-        have = true;
-        decide_plans_.emplace(bucket, capture.Finish({x, q}));
-      }
-    }
-    if (plan != nullptr) {
-      // Slot order follows capture-time PlanInput creation: the actor's
-      // state tensors first, then the critic's (x flows as a graph edge).
-      std::vector<nn::Tensor> in;
-      x_->AppendPlanInputsBatch(padded, &in);
-      q_->AppendPlanInputsBatch(padded, &in);
-      const std::vector<const nn::Tensor*> outs = plan->Replay(std::move(in));
-      xv = *outs[0];
-      qv = *outs[1];
-      have = true;
-    }
-  }
-  if (!have) {
-    const nn::Var x = x_->ForwardBatch(states);
-    const nn::Var q = q_->ForwardBatch(states, x);
-    xv = x.value();
-    qv = q.value();
-  }
-
-  HEAD_CHECK_GE(xv.rows(), n);
+  const nn::Var x = x_->ForwardBatch(states);
+  const nn::Var q = q_->ForwardBatch(states, x);
+  const nn::Tensor& xv = x.value();  // (B×3) accelerations
+  const nn::Tensor& qv = q.value();  // (B×3) action values
+  HEAD_CHECK_EQ(xv.rows(), n);
   HEAD_CHECK_EQ(xv.cols(), rl::kNumBehaviors);
   HEAD_CHECK_EQ(qv.cols(), rl::kNumBehaviors);
   for (int i = 0; i < n; ++i) {
@@ -130,9 +71,9 @@ void ModelSnapshot::PredictBatch(
   const nn::NoGradGuard no_grad;
   const perception::FeatureScale& scale = predictor_->scale();
 
-  // Group requests by history depth z — a plan's shape is fixed per z, and
-  // the vectorized LST-GAT pass requires a uniform-z batch anyway. Serving
-  // deployments see a single z, so this is one group in practice.
+  // Group requests by history depth z — the vectorized LST-GAT pass
+  // requires a uniform-z batch. Serving deployments see a single z, so this
+  // is one group in practice.
   std::vector<std::pair<int, std::vector<int>>> groups;
   for (int i = 0; i < n; ++i) {
     const int z = graphs[i]->z();
@@ -146,55 +87,15 @@ void ModelSnapshot::PredictBatch(
     it->second.push_back(i);
   }
 
-  const bool use_plans = nn::PlansEnabled() && predictor_->PlanCapturable();
   for (const auto& [z, idxs] : groups) {
     const int m = static_cast<int>(idxs.size());
     std::vector<const perception::StGraph*> group;
     group.reserve(idxs.size());
     for (const int i : idxs) group.push_back(graphs[i]);
 
-    nn::Tensor value;  // (bucket·6×3) scaled residuals, sample-major
-    bool have = false;
-    if (use_plans) {
-      const int bucket = BucketFor(m);
-      std::shared_ptr<const nn::ExecPlan> plan;
-      const perception::StGraph* zero_graph = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(plan_mu_);
-        auto& zg = zero_graphs_[z];
-        if (zg == nullptr) {
-          zg = std::make_unique<perception::StGraph>();
-          zg->steps.resize(static_cast<size_t>(z));
-        }
-        zero_graph = zg.get();
-      }
-      std::vector<const perception::StGraph*> padded = group;
-      padded.resize(static_cast<size_t>(bucket), zero_graph);
-      const int64_t key = (static_cast<int64_t>(bucket) << 32) | z;
-      {
-        std::lock_guard<std::mutex> lock(plan_mu_);
-        const auto it = predict_plans_.find(key);
-        if (it != predict_plans_.end()) {
-          plan = it->second;
-        } else if (predict_plans_.size() < kMaxPlansPerCache) {
-          nn::PlanCapture capture;
-          const nn::Var v = predictor_->ForwardScaledBatch(padded);
-          value = v.value();
-          have = true;
-          predict_plans_.emplace(key, capture.Finish({v}));
-        }
-      }
-      if (plan != nullptr) {
-        const obs::ScopedSpan span(predictor_->ForwardSpanName());
-        std::vector<nn::Tensor> in;
-        predictor_->AppendPlanInputsBatch(padded, &in);
-        value = *plan->Replay(std::move(in))[0];
-        have = true;
-      }
-    }
-    if (!have) value = predictor_->ForwardScaledBatch(group).value();
-
-    HEAD_CHECK_GE(value.rows(), m * perception::kNumAreas);
+    const nn::Var v = predictor_->ForwardScaledBatch(group);
+    const nn::Tensor& value = v.value();  // (m·6×3) scaled residuals
+    HEAD_CHECK_EQ(value.rows(), m * perception::kNumAreas);
     HEAD_CHECK_EQ(value.cols(), 3);
     for (int j = 0; j < m; ++j) {
       const perception::StGraph& g = *group[j];

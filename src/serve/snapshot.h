@@ -2,10 +2,8 @@
 //
 // A ModelSnapshot is one immutable published model version: deep-copied
 // decision networks (and optionally a state predictor) whose Params never
-// change after construction, plus this version's own static-plan caches.
-// Plans bind replay graphs to the *live* Params they were captured against
-// (nn/plan.h "external parents stay shared"), so plan caches can never be
-// shared across versions — each snapshot compiles and owns its own.
+// change after construction. Serving threads run its forward passes on
+// their own thread-local tapes, so a snapshot holds no per-thread state.
 //
 // The ModelSnapshotRegistry is the publication point: a training thread
 // calls Publish(online_x, online_q, predictor) and readers pick up the new
@@ -25,14 +23,13 @@
 // snapshot it reads, so a retired version's storage survives until its last
 // batch completes regardless.
 //
-// Batch shape discipline: DecideBatch/PredictBatch pad each batch up to the
-// next power of two with snapshot-owned zero states, so at most
-// log2(max_batch) plans exist per snapshot. Padding is sound because every
-// kernel on these paths computes each output row with arithmetic that is
-// independent of the other rows and of the total row count (the uniform-
-// arithmetic GEMM contract, tested as packed-path row invariance), and both
-// network families are row-independent per sample — a request's reply is
-// bitwise identical whatever co-batched traffic it shared a forward with.
+// Batch shape discipline: DecideBatch/PredictBatch run each batch at its
+// exact size. Every kernel on these paths computes each output row with
+// arithmetic that is independent of the other rows and of the total row
+// count (the uniform-arithmetic GEMM contract, tested as packed-path row
+// invariance), and both network families are row-independent per sample —
+// a request's reply is bitwise identical whatever co-batched traffic it
+// shared a forward with.
 #ifndef HEAD_SERVE_SNAPSHOT_H_
 #define HEAD_SERVE_SNAPSHOT_H_
 
@@ -42,11 +39,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
-#include "nn/plan.h"
 #include "parallel/thread_pool.h"
 #include "perception/predictor.h"
 #include "rl/nets.h"
@@ -89,16 +84,14 @@ class ModelSnapshot {
   bool has_predictor() const { return predictor_ != nullptr; }
 
   /// One batched greedy forward (actor then critic) under NoGrad; writes
-  /// states.size() outputs into `out`. Replays this snapshot's compiled
-  /// plan for the padded bucket size (captured on first use); falls back to
-  /// eager execution when plans are disabled or the nets aren't capturable.
-  /// Safe to call concurrently from any number of threads.
+  /// states.size() outputs into `out`. Safe to call concurrently from any
+  /// number of threads.
   void DecideBatch(const std::vector<const rl::AugmentedState*>& states,
                    DecisionOutput* out) const;
 
   /// Batched one-step prediction; writes graphs.size() Predictions. Graphs
-  /// of mixed history depth are grouped by z (a plan needs a fixed shape).
-  /// Requires has_predictor().
+  /// of mixed history depth are grouped by z, one vectorized pass per
+  /// group. Requires has_predictor().
   void PredictBatch(const std::vector<const perception::StGraph*>& graphs,
                     perception::Prediction* out) const;
 
@@ -108,27 +101,10 @@ class ModelSnapshot {
   parallel::WaitToken& inflight() const { return inflight_; }
 
  private:
-  bool DecisionPlansOn() const;
-
   const uint64_t version_;
   std::unique_ptr<rl::XNet> x_;
   std::unique_ptr<rl::QNet> q_;
   std::unique_ptr<perception::StatePredictor> predictor_;
-  /// Padding row for decision batches: all-zero h/f blocks.
-  rl::AugmentedState zero_state_;
-
-  /// This version's plan caches (decide keyed by bucket, predict keyed by
-  /// bucket<<32|z) plus the zero-graph padding rows per z. Guarded: batches
-  /// race on first-use capture. Logically const — the snapshot's observable
-  /// outputs never change.
-  mutable std::mutex plan_mu_;
-  mutable std::unordered_map<int, std::shared_ptr<const nn::ExecPlan>>
-      decide_plans_;
-  mutable std::unordered_map<int64_t, std::shared_ptr<const nn::ExecPlan>>
-      predict_plans_;
-  mutable std::unordered_map<int, std::unique_ptr<perception::StGraph>>
-      zero_graphs_;
-
   mutable parallel::WaitToken inflight_;
 };
 

@@ -11,7 +11,6 @@
 
 #include "nn/arena.h"
 #include "nn/autograd.h"
-#include "nn/plan.h"
 #include "perception/lst_gat.h"
 #include "perception/trainer.h"
 #include "rl/nets.h"
@@ -236,9 +235,7 @@ TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
 //
 // Predict runs the one-graph case of the stacked minibatch pass, so its
 // output must equal the matching 6-row block of ForwardScaledBatch bit for
-// bit — eager, while a plan is captured, and on plan replay. Under
-// HEAD_PLANS=0 (a second ctest entry runs these cases that way) every mode
-// is eager and the equalities must still hold.
+// bit — on the first Predict of a depth and on every later, warm-tape one.
 
 /// Decodes rows [6·s, 6·s+6) of a (B·6×3) scaled-residual block the way
 /// StatePredictor::Predict does.
@@ -288,39 +285,27 @@ TEST(LstGatBatchOneTest, PredictMatchesBatchBlockInEveryMode) {
     }
     ASSERT_EQ(batch.rows(), kBatch * perception::kNumAreas);
 
-    model.set_static_plans(false);
-    for (int s = 0; s < kBatch; ++s) {
-      SCOPED_TRACE(::testing::Message() << "eager, sample " << s);
-      ExpectPredictionBitwise(model.Predict(samples[s].graph),
-                              DecodeBlock(samples[s].graph, batch, s,
-                                          model.scale()));
-    }
-    // Sample 0 captures this depth's plan (its output is the capture run);
-    // the rest replay it. With HEAD_PLANS=0 all of them run eagerly.
-    model.set_static_plans(true);
-    for (int s = 0; s < kBatch; ++s) {
-      SCOPED_TRACE(::testing::Message()
-                   << (s == 0 ? "capture" : "replay") << ", sample " << s);
-      ExpectPredictionBitwise(model.Predict(samples[s].graph),
-                              DecodeBlock(samples[s].graph, batch, s,
-                                          model.scale()));
+    for (const int pass : {1, 2}) {
+      for (int s = 0; s < kBatch; ++s) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pass " << pass << ", sample " << s);
+        ExpectPredictionBitwise(model.Predict(samples[s].graph),
+                                DecodeBlock(samples[s].graph, batch, s,
+                                            model.scale()));
+      }
     }
   }
 }
 
-TEST(LstGatBatchOneTest, PredictPlanRunsTheStackedGraph) {
+TEST(LstGatBatchOneTest, PredictRunsTheStackedGraph) {
   // The stacked batch-1 graph at z = 5 is ~130 nodes; the per-target loop
-  // it replaced compiled to ~460. The bound catches the loop's return.
+  // it replaced built ~460. The bound catches the loop's return.
   Rng init(23);
   perception::LstGat model(perception::LstGatConfig{}, init);
   Rng data(29);
   const perception::PredictionSample sample = RandomSample(data, 5, true);
-  nn::ResetTape();
-  const nn::NoGradGuard no_grad;
-  nn::PlanCapture capture;
-  const nn::Var out = model.ForwardScaled(sample.graph);
-  const std::shared_ptr<const nn::ExecPlan> plan = capture.Finish({out});
-  EXPECT_LE(plan->num_nodes(), 150u);
+  model.Predict(sample.graph);  // resets the tape first: its nodes only
+  EXPECT_LE(nn::GraphArena::ThreadLocal().nodes_in_use(), 150u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Arena-tape and tensor-pool semantics (ISSUE 5): a training update must be
 // bitwise identical whether it runs on a cold arena (first tape ever on the
 // thread) or a warm one (nodes and buffers recycled from earlier graphs),
-// stale handles must be detectable after a reset, and the pool must actually
+// a warmed training step must not grow the arena or miss the pool, stale
+// handles must be detectable after a reset, and the pool must actually
 // recycle buffers. The cold/warm runs execute on fresh std::threads because
 // arena and pool are thread-local — a new thread is the only true cold start
 // inside one process.
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,8 +33,9 @@ rl::AugmentedState RandomState(Rng& rng) {
   return s;
 }
 
-/// One full BP-DQN update with fixed seeds; returns every parameter tensor.
-std::vector<nn::Tensor> BpDqnUpdateParams() {
+/// A small BP-DQN agent whose replay buffer holds `transitions` seeded
+/// random transitions — enough to update from.
+std::unique_ptr<rl::PdqnAgent> FilledBpDqnAgent(int transitions) {
   rl::PdqnConfig config;
   config.hidden = 16;
   config.batch_size = 8;
@@ -42,7 +45,7 @@ std::vector<nn::Tensor> BpDqnUpdateParams() {
   Rng init(11);
   auto agent = rl::MakeBpDqnAgent(config, init);
   Rng data(21);
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < transitions; ++i) {
     const rl::AugmentedState s = RandomState(data);
     const rl::AugmentedState s2 = RandomState(data);
     rl::AgentAction action;
@@ -52,6 +55,12 @@ std::vector<nn::Tensor> BpDqnUpdateParams() {
     action.maneuver.accel_mps2 = action.params[action.behavior];
     agent->Remember(s, action, data.Uniform(-1.0, 1.0), s2, i % 5 == 0);
   }
+  return agent;
+}
+
+/// One full BP-DQN update with fixed seeds; returns every parameter tensor.
+std::vector<nn::Tensor> BpDqnUpdateParams() {
+  auto agent = FilledBpDqnAgent(12);
   Rng rng(31);
   agent->Update(rng);
   std::vector<nn::Tensor> out;
@@ -80,17 +89,26 @@ perception::PredictionSample RandomSample(Rng& rng) {
   return s;
 }
 
-/// One LST-GAT training epoch with fixed seeds; returns every parameter.
-std::vector<nn::Tensor> LstGatUpdateParams() {
+perception::LstGat SmallLstGat() {
   perception::LstGatConfig net_config;
   net_config.d_phi1 = 8;
   net_config.d_phi3 = 8;
   net_config.d_lstm = 8;
   Rng init(17);
-  perception::LstGat model(net_config, init);
+  return perception::LstGat(net_config, init);
+}
+
+std::vector<perception::PredictionSample> RandomSamples(int count) {
   Rng data(18);
-  std::vector<perception::PredictionSample> train;
-  for (int i = 0; i < 6; ++i) train.push_back(RandomSample(data));
+  std::vector<perception::PredictionSample> samples;
+  for (int i = 0; i < count; ++i) samples.push_back(RandomSample(data));
+  return samples;
+}
+
+/// One LST-GAT training epoch with fixed seeds; returns every parameter.
+std::vector<nn::Tensor> LstGatUpdateParams() {
+  perception::LstGat model = SmallLstGat();
+  const std::vector<perception::PredictionSample> train = RandomSamples(6);
   perception::PredictionTrainConfig config;
   config.epochs = 1;
   config.batch_size = 4;
@@ -142,6 +160,36 @@ TEST(ArenaParityTest, LstGatUpdateBitwiseColdVsWarmArena) {
   const auto cold = RunOnFreshThread(/*warm=*/false, &LstGatUpdateParams);
   const auto warm = RunOnFreshThread(/*warm=*/true, &LstGatUpdateParams);
   ExpectBitwiseEqual(cold, warm);
+}
+
+// ---- Steady-state allocation ----
+
+TEST(ArenaSteadyStateTest, WarmedAgentUpdateAllocatesNothing) {
+  auto agent = FilledBpDqnAgent(16);
+  Rng rng(31);
+  for (int u = 0; u < 4; ++u) agent->Update(rng);  // warm the arena + pool
+  const uint64_t before = nn::AllocEvents();
+  for (int u = 0; u < 4; ++u) agent->Update(rng);
+  EXPECT_EQ(nn::AllocEvents(), before)
+      << "a warmed BP-DQN update must not grow the arena or miss the pool";
+}
+
+TEST(ArenaSteadyStateTest, WarmedLstGatTrainStepAllocatesNothing) {
+  perception::LstGat model = SmallLstGat();
+  const std::vector<perception::PredictionSample> train = RandomSamples(6);
+  perception::PredictionTrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 3;
+  config.batched = true;
+  // Two warm-up epochs: the second runs the measured path once, so the pool
+  // holds every buffer that path keeps in rotation.
+  perception::TrainPredictor(model, train, config);
+  perception::TrainPredictor(model, train, config);
+  const uint64_t before = nn::AllocEvents();
+  perception::TrainPredictor(model, train, config);
+  EXPECT_EQ(nn::AllocEvents(), before)
+      << "a warmed LST-GAT train step must not grow the arena or miss the "
+         "pool";
 }
 
 TEST(ArenaEpochTest, HandlesDieAtResetAndParamsSurvive) {

@@ -3,7 +3,7 @@
 // RowwiseMax, SumRows, ScaleRows, SumRowGroups), plus the grad-mode switch
 // (NoGradGuard) that turns forward passes into pure inference, and the
 // row-copy ops (ConcatCols/ConcatRows/SliceCols/SliceRows) at edge shapes
-// against an element-wise reference, eager and plan-replayed.
+// against an element-wise reference.
 #include <cmath>
 #include <functional>
 #include <thread>
@@ -13,7 +13,6 @@
 
 #include "nn/arena.h"
 #include "nn/autograd.h"
-#include "nn/plan.h"
 
 namespace head::nn {
 namespace {
@@ -298,11 +297,10 @@ void CopyReference(const CopyCase& cc, const std::vector<Tensor>& inputs,
 
 void ExpectCopyOpMatchesReference(const CopyCase& cc) {
   SCOPED_TRACE(cc.name);
-  std::vector<Tensor> inputs, replay_inputs;
+  std::vector<Tensor> inputs;
   for (size_t p = 0; p < cc.input_shapes.size(); ++p) {
     const auto [rows, cols] = cc.input_shapes[p];
     inputs.push_back(Arange(rows, cols, 0.1, 0.5 * p));
-    replay_inputs.push_back(Arange(rows, cols, -0.3, 2.0 + p));
   }
   const Tensor w = Arange(cc.out_rows, cc.out_cols, 0.37, 0.2);
   const auto loss_of = [&w](const Var& out) {
@@ -311,7 +309,6 @@ void ExpectCopyOpMatchesReference(const CopyCase& cc) {
   Tensor ref_out;
   std::vector<Tensor> ref_grads;
 
-  // Eager forward + backward.
   ResetTape();
   std::vector<Var> params;
   for (const Tensor& in : inputs) params.push_back(Var::Param(in));
@@ -319,29 +316,6 @@ void ExpectCopyOpMatchesReference(const CopyCase& cc) {
   CopyReference(cc, inputs, w, &ref_out, &ref_grads);
   ExpectBitwise(out.value(), ref_out);
   Backward(loss_of(out));
-  for (size_t p = 0; p < params.size(); ++p) {
-    ExpectBitwise(params[p].grad(), ref_grads[p]);
-  }
-
-  // Plan replay: capture on `inputs`, then replay forward and backward
-  // against new parameter values.
-  for (Var& param : params) param.mutable_grad() = Tensor();
-  std::shared_ptr<const ExecPlan> plan;
-  {
-    ResetTape();
-    PlanCapture capture;
-    const Var captured = cc.op(params);
-    const Var loss = loss_of(captured);
-    Backward(loss);
-    plan = capture.Finish({captured, loss});
-  }
-  for (size_t p = 0; p < params.size(); ++p) {
-    params[p].mutable_value() = replay_inputs[p];
-    params[p].mutable_grad() = Tensor();
-  }
-  const Tensor replayed = *plan->Replay({})[0];
-  CopyReference(cc, replay_inputs, w, &ref_out, &ref_grads);
-  ExpectBitwise(replayed, ref_out);
   for (size_t p = 0; p < params.size(); ++p) {
     ExpectBitwise(params[p].grad(), ref_grads[p]);
   }

@@ -2,7 +2,8 @@
 // contract): for a fixed env-pool size K, training and evaluation results
 // are bitwise identical whether the pool runs on 1 thread or 4, identical
 // across repeated runs, and pooled evaluation matches the serial evaluator
-// exactly for any K.
+// exactly for any K — including when every worker runs the same agent and
+// predictor concurrently, each on its own thread-local tape.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "parallel/env_pool.h"
 #include "parallel/thread_pool.h"
+#include "perception/lst_gat.h"
 #include "rl/env.h"
 #include "rl/pdqn_agent.h"
 #include "rl/trainer.h"
@@ -113,6 +115,49 @@ TEST(ParallelDeterminismTest, EpisodeResultsIndependentOfWorkerAssignment) {
     EXPECT_EQ(a[i].steps, b[i].steps) << "episode " << i;
     EXPECT_EQ(a[i].reward_sum, b[i].reward_sum) << "episode " << i;
     EXPECT_EQ(a[i].collision, b[i].collision) << "episode " << i;
+  }
+}
+
+/// Greedy episodes over K = 4 envs that share one BP-DQN agent and one
+/// LST-GAT predictor, on a pool of `threads` threads.
+std::vector<parallel::EnvPool::EpisodeResult> SharedModelRollouts(int threads) {
+  perception::LstGatConfig net_config;
+  net_config.d_phi1 = 8;
+  net_config.d_phi3 = 8;
+  net_config.d_lstm = 8;
+  Rng init(13);
+  const perception::LstGat predictor(net_config, init);
+  rl::PdqnConfig config;
+  config.hidden = 16;
+  Rng rng(77);
+  auto agent = rl::MakeBpDqnAgent(config, rng);
+  rl::EnvConfig env_config = SmallEnv();
+  env_config.use_prediction = true;
+  parallel::ThreadPool pool(threads);
+  parallel::EnvPool envs(
+      4,
+      [&](int) {
+        return std::make_unique<rl::DrivingEnv>(env_config, &predictor, 1);
+      },
+      &pool);
+  parallel::EnvPool::RolloutOptions opts;
+  opts.seed_base = 55;
+  opts.max_steps_per_episode = 40;
+  return envs.RunEpisodes(*agent, 0, 8, opts);
+}
+
+TEST(ParallelDeterminismTest, SharedAgentAndPredictorRolloutsMatchSerial) {
+  // Every greedy step runs Predict and both Act forwards on the workers at
+  // once; the shared models are read-only, so 4 threads must reproduce the
+  // 1-thread run bitwise (and race-free under TSan).
+  const auto serial = SharedModelRollouts(1);
+  const auto threaded = SharedModelRollouts(4);
+  ASSERT_EQ(serial.size(), threaded.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].steps, threaded[i].steps) << "episode " << i;
+    EXPECT_EQ(serial[i].reward_sum, threaded[i].reward_sum)
+        << "episode " << i;
+    EXPECT_EQ(serial[i].collision, threaded[i].collision) << "episode " << i;
   }
 }
 

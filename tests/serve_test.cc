@@ -96,21 +96,26 @@ TEST(SnapshotTest, DecideBatchMatchesBatchOfOne) {
   const std::shared_ptr<const serve::ModelSnapshot> snap =
       registry.Publish(x, q);
 
-  std::vector<rl::AugmentedState> states;
-  for (int i = 0; i < 5; ++i) states.push_back(RandomState(rng));
-  std::vector<const rl::AugmentedState*> ptrs;
-  for (const rl::AugmentedState& s : states) ptrs.push_back(&s);
+  // Batches run at their exact size: every request must get bitwise the
+  // reply of a batch of one, whatever the batch size.
+  for (const int n : {1, 3, 5, 32}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << n);
+    std::vector<rl::AugmentedState> states;
+    for (int i = 0; i < n; ++i) states.push_back(RandomState(rng));
+    std::vector<const rl::AugmentedState*> ptrs;
+    for (const rl::AugmentedState& s : states) ptrs.push_back(&s);
 
-  std::vector<serve::DecisionOutput> batched(states.size());
-  snap->DecideBatch(ptrs, batched.data());
-  for (size_t i = 0; i < states.size(); ++i) {
-    serve::DecisionOutput single;
-    snap->DecideBatch({&states[i]}, &single);
-    EXPECT_EQ(batched[i].behavior, single.behavior) << "state " << i;
-    EXPECT_DOUBLE_EQ(batched[i].accel, single.accel) << "state " << i;
-    for (int c = 0; c < rl::kNumBehaviors; ++c) {
-      EXPECT_DOUBLE_EQ(batched[i].q[c], single.q[c]);
-      EXPECT_DOUBLE_EQ(batched[i].params[c], single.params[c]);
+    std::vector<serve::DecisionOutput> batched(states.size());
+    snap->DecideBatch(ptrs, batched.data());
+    for (size_t i = 0; i < states.size(); ++i) {
+      serve::DecisionOutput single;
+      snap->DecideBatch({&states[i]}, &single);
+      EXPECT_EQ(batched[i].behavior, single.behavior) << "state " << i;
+      EXPECT_EQ(batched[i].accel, single.accel) << "state " << i;
+      for (int c = 0; c < rl::kNumBehaviors; ++c) {
+        EXPECT_EQ(batched[i].q[c], single.q[c]) << "state " << i;
+        EXPECT_EQ(batched[i].params[c], single.params[c]) << "state " << i;
+      }
     }
   }
 }
@@ -149,19 +154,24 @@ TEST(SnapshotTest, PredictBatchMatchesPredictorPredict) {
       registry.Publish(x, q, &predictor);
   ASSERT_TRUE(snap->has_predictor());
 
-  std::vector<perception::StGraph> graphs;
-  for (int i = 0; i < 3; ++i) graphs.push_back(RandomGraph(rng));
-  std::vector<const perception::StGraph*> ptrs;
-  for (const perception::StGraph& g : graphs) ptrs.push_back(&g);
+  // Each request of an exact-size batch must get bitwise the batch-of-one
+  // output of the source predictor.
+  for (const int n : {1, 3, 5, 32}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << n);
+    std::vector<perception::StGraph> graphs;
+    for (int i = 0; i < n; ++i) graphs.push_back(RandomGraph(rng));
+    std::vector<const perception::StGraph*> ptrs;
+    for (const perception::StGraph& g : graphs) ptrs.push_back(&g);
 
-  std::vector<perception::Prediction> batched(graphs.size());
-  snap->PredictBatch(ptrs, batched.data());
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    const perception::Prediction expected = predictor.Predict(graphs[i]);
-    for (int a = 0; a < perception::kNumAreas; ++a) {
-      EXPECT_DOUBLE_EQ(batched[i][a].d_lat_m, expected[a].d_lat_m);
-      EXPECT_DOUBLE_EQ(batched[i][a].d_lon_m, expected[a].d_lon_m);
-      EXPECT_DOUBLE_EQ(batched[i][a].v_rel_mps, expected[a].v_rel_mps);
+    std::vector<perception::Prediction> batched(graphs.size());
+    snap->PredictBatch(ptrs, batched.data());
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      const perception::Prediction expected = predictor.Predict(graphs[i]);
+      for (int a = 0; a < perception::kNumAreas; ++a) {
+        EXPECT_EQ(batched[i][a].d_lat_m, expected[a].d_lat_m) << i;
+        EXPECT_EQ(batched[i][a].d_lon_m, expected[a].d_lon_m) << i;
+        EXPECT_EQ(batched[i][a].v_rel_mps, expected[a].v_rel_mps) << i;
+      }
     }
   }
 }

@@ -29,15 +29,11 @@
 #      of root wall time attributed to per-op rows) and diffs it against
 #      the committed baseline with tools/profile_diff.py — fails when any
 #      sizable op's per-call self time regressed ≥50%.
-#   6. Plans-off stage: the full ctest suite with HEAD_PLANS=0, pinning
-#      every capture-capable call site to the eager tape. Proves the
-#      static-plan fallback path (and everything downstream of it) stays
-#      healthy when plans are globally disabled.
-#   7. Serve stage: optimized build of bench/serve_throughput (single-request
+#   6. Serve stage: optimized build of bench/serve_throughput (single-request
 #      vs cross-client-batched decision serving plus three open-loop Poisson
 #      load points), gated against the checked-in baseline — fails if serving
 #      throughput regresses more than 30%, if the 0.6x-load p99 blows past
-#      its recorded noise envelope, or if a warmed-up batched replay performs
+#      its recorded noise envelope, or if a warmed-up served batch performs
 #      any arena/pool heap event per request (--require-zero-allocs).
 #
 # Usage:
@@ -48,7 +44,6 @@
 #   HEAD_SKIP_SCALAR=1 tools/check.sh      # skip the scalar-fallback suite
 #   HEAD_SKIP_SMOKE=1 tools/check.sh       # skip the flight-recorder smoke
 #   HEAD_SKIP_PROFILE=1 tools/check.sh     # skip the op-profile diff gate
-#   HEAD_SKIP_PLANS=1 tools/check.sh       # skip the plans-off ctest suite
 #   HEAD_SKIP_SERVE=1 tools/check.sh       # skip the serve throughput gate
 set -euo pipefail
 
@@ -63,7 +58,7 @@ fi
 SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            obs_profiler_test flight_replay_test sim_simulation_test
            sim_models_test nn_batched_ops_test nn_arena_test nn_simd_test
-           nn_plan_test parallel_test parallel_determinism_test serve_test
+           parallel_test parallel_determinism_test serve_test
            batched_parity_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
@@ -157,19 +152,6 @@ if [[ "${HEAD_SKIP_PROFILE:-0}" != "1" ]]; then
     "${PROFILE_BUILD_DIR}/BENCH_profile.json" \
     --threshold=0.5
   echo "== op-profile diff passed (${PROFILE_BUILD_DIR}/BENCH_profile.json) =="
-fi
-
-if [[ "${HEAD_SKIP_PLANS:-0}" != "1" ]]; then
-  # Plans-off suite: the whole test battery with HEAD_PLANS=0, so every
-  # static_plans call site takes its eager fallback. Shares the optimized
-  # tree with the perf/smoke/profile stages; building the remaining test
-  # targets there is incremental.
-  PLANS_BUILD_DIR="build-perf"
-  cmake -B "${PLANS_BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${PLANS_BUILD_DIR}" -j
-  echo "== plans-off suite: full ctest with HEAD_PLANS=0 =="
-  HEAD_PLANS=0 ctest --test-dir "${PLANS_BUILD_DIR}" --output-on-failure
-  echo "== plans-off suite passed =="
 fi
 
 if [[ "${HEAD_SKIP_SERVE:-0}" != "1" ]]; then

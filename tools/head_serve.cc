@@ -42,7 +42,6 @@
 
 #include "common/rng.h"
 #include "nn/kernels/simd.h"
-#include "nn/plan.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "perception/lst_gat.h"
@@ -218,8 +217,7 @@ int main(int argc, char** argv) {
             << ", swap "
             << (swap_ms > 0 ? "every " + std::to_string(swap_ms) + "ms" : "off")
             << ", " << threads << " threads, kernel "
-            << kernels::IsaName(kernels::ActiveIsa()) << ", plans "
-            << (nn::PlansEnabled() ? "on" : "off") << "\n";
+            << kernels::IsaName(kernels::ActiveIsa()) << "\n";
 
   serve::ModelSnapshotRegistry registry(Factories(), /*keep=*/2, seed);
   Rng weights_rng(seed);
