@@ -2,10 +2,10 @@
 //
 // 1. Generate a small REAL-surrogate trajectory corpus and train the
 //    LST-GAT one-step state predictor on it.
-// 2. Train the BP-DQN maneuver-decision agent in the simulated environment
-//    with the hybrid (safety/efficiency/comfort/impact) reward.
-// 3. Drive one test episode with the trained HEAD agent and print what it
-//    does step by step.
+// 2. Train the BP-DQN maneuver-decision agent over a pool of simulated
+//    environments with the hybrid (safety/efficiency/comfort/impact) reward.
+// 3. Drive one test episode with the trained HEAD agent (eval::RunEpisode
+//    with a per-step trace) and print what it does step by step.
 //
 // Run:  ./build/examples/quickstart
 //
@@ -64,10 +64,9 @@ int main() {
   Rng agent_rng(11);
   std::shared_ptr<rl::PdqnAgent> agent =
       rl::MakeBpDqnAgent(head_config.pdqn, agent_rng);
-  rl::DrivingEnv env(head_config.MakeEnvConfig(profile.rl_sim),
-                     predictor.get(), /*seed=*/1);
+  parallel::EnvPool envs = eval::MakeEnvPool(profile, variant, predictor);
   const rl::RlTrainResult rl_result =
-      rl::TrainAgent(*agent, env, profile.rl_train);
+      rl::TrainAgent(*agent, envs, profile.rl_train);
   std::printf("   %d episodes in %.1fs — last mean step reward %.3f\n",
               profile.rl_train.episodes, rl_result.total_seconds,
               rl_result.episode_rewards.back());
@@ -106,32 +105,29 @@ int main() {
     }
   }
   auto policy = eval::MakePolicy(profile, variant, predictor, demo_agent);
-  sim::Simulation sim(profile.rl_sim, /*seed=*/4242);
-  policy->OnEpisodeStart();
-  double prev_accel = 0.0;
+  eval::RunnerConfig runner;
+  runner.sim = profile.rl_sim;
+  runner.sensor = head_config.sensor;
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(*policy, runner, /*seed=*/4242, /*episode_index=*/0,
+                   &trace);
   int lane_changes = 0;
-  while (sim.status() == sim::EpisodeStatus::kRunning) {
-    HEAD_SPAN("episode.step");
-    decision::EgoView view;
-    view.ego = sim.ego_state();
-    view.observed =
-        sensor::Observe(sim.GlobalSnapshot(), sim.ego_state(),
-                        head_config.sensor, profile.rl_sim.road);
-    view.prev_accel_mps2 = prev_accel;
-    const Maneuver m = policy->Decide(view);
-    prev_accel = m.accel_mps2;
-    if (m.lane_change != LaneChange::kKeep) ++lane_changes;
-    if (sim.step_count() % 20 == 0) {
+  for (size_t i = 0; i < trace.steps.size(); ++i) {
+    const eval::TraceStep& step = trace.steps[i];
+    if (step.maneuver.lane_change != LaneChange::kKeep) ++lane_changes;
+    if (i % 20 == 0) {
       std::printf(
-          "   t=%5.1fs lane=%d lon=%6.1fm v=%4.1fm/s (%zu vehicles seen) "
-          "-> %s a=%+.2f\n",
-          sim.time_s(), view.ego.lane, view.ego.lon_m, view.ego.v_mps,
-          view.observed.size(), ToString(m.lane_change), m.accel_mps2);
+          "   t=%5.1fs lane=%d lon=%6.1fm v=%4.1fm/s (%d vehicles seen) "
+          "-> %s a=%+.2f r=%+.3f\n",
+          step.time_s, step.ego.lane, step.ego.lon_m, step.ego.v_mps,
+          step.observed_vehicles, ToString(step.maneuver.lane_change),
+          step.maneuver.accel_mps2, step.reward.total);
     }
-    sim.Step(m);
   }
   std::printf("   episode over: %s after %.1fs (%d lane changes)\n",
-              ToString(sim.status()), sim.time_s(), lane_changes);
+              ToString(trace.final_status),
+              trace.steps.empty() ? 0.0 : trace.steps.back().time_s,
+              lane_changes);
   if (trace_out != nullptr && trace_out[0] != '\0') {
     if (obs::WriteChromeTraceFile(trace_out)) {
       std::printf("   wrote Chrome trace to %s\n", trace_out);

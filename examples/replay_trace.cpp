@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "decision/idm_lc.h"
-#include "eval/trace.h"
+#include "eval/episode_runner.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const std::string scenario = argc > 1 ? argv[1] : "bottleneck";
   const uint64_t seed = argc > 2 ? std::atoll(argv[2]) : 99;
 
-  eval::TraceConfig config;
+  eval::RunnerConfig config;
   config.sim = sim::ScenarioByName(scenario);
   config.sim.road.length_m = std::min(config.sim.road.length_m, 800.0);
 
@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   std::printf("recording one %s episode of %s (seed %llu)...\n",
               scenario.c_str(), policy.name().c_str(),
               static_cast<unsigned long long>(seed));
-  const eval::EpisodeTrace trace = eval::RecordEpisode(policy, config, seed);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(policy, config, seed, /*episode_index=*/0, &trace);
   std::printf("episode %s after %.1fs (%zu steps)\n",
               ToString(trace.final_status),
               trace.steps.empty() ? 0.0 : trace.steps.back().time_s,

@@ -13,7 +13,9 @@ HeadAgent::HeadAgent(const HeadConfig& config,
     : config_(config),
       predictor_(std::move(predictor)),
       agent_(std::move(agent)),
-      history_(config.history_z),
+      perception_(config.road, config.sensor.range_m, config.scale,
+                  config.history_z, config.variant.use_pvc,
+                  config.variant.use_lst_gat ? predictor_.get() : nullptr),
       act_rng_(0xC0FFEE) {
   HEAD_CHECK(agent_ != nullptr);
   if (config_.variant.use_lst_gat) {
@@ -24,32 +26,10 @@ HeadAgent::HeadAgent(const HeadConfig& config,
 
 std::string HeadAgent::name() const { return config_.variant.Name(); }
 
-void HeadAgent::OnEpisodeStart() { history_.Clear(); }
+void HeadAgent::OnEpisodeStart() { perception_.Clear(); }
 
 rl::AugmentedState HeadAgent::Perceive(const decision::EgoView& view) {
-  perception::ObservationFrame frame;
-  frame.ego = view.ego;
-  frame.observed = view.observed;
-  history_.Push(std::move(frame));
-  perception::CompletedScene scene;
-  {
-    HEAD_SPAN("perception.phantom");
-    scene = perception::ConstructPhantoms(history_, config_.road,
-                                          config_.sensor.range_m,
-                                          config_.variant.use_pvc);
-  }
-  {
-    HEAD_SPAN("perception.graph");
-    graph_ = perception::BuildStGraph(scene, config_.road, config_.scale);
-  }
-  perception::Prediction prediction{};
-  if (config_.variant.use_lst_gat) {
-    prediction = predictor_->Predict(graph_);  // spans itself
-  }
-  HEAD_SPAN("perception.augment");
-  return rl::BuildAugmentedState(graph_, prediction, config_.road,
-                                 config_.scale,
-                                 config_.variant.use_lst_gat);
+  return perception_.Perceive({view.ego, view.observed});
 }
 
 Maneuver HeadAgent::Decide(const decision::EgoView& view) {

@@ -32,7 +32,9 @@ class HeadAgent : public decision::Policy {
 
   /// The augmented state the agent saw at the last Decide() call.
   const rl::AugmentedState& last_state() const { return last_state_; }
-  const perception::StGraph& last_graph() const { return graph_; }
+  const perception::StGraph& last_graph() const {
+    return perception_.graph();
+  }
   rl::PamdpAgent& agent() { return *agent_; }
   const HeadConfig& config() const { return config_; }
 
@@ -43,8 +45,7 @@ class HeadAgent : public decision::Policy {
   HeadConfig config_;
   std::shared_ptr<const perception::StatePredictor> predictor_;
   std::shared_ptr<rl::PamdpAgent> agent_;
-  perception::HistoryBuffer history_;
-  perception::StGraph graph_;
+  rl::PerceptionChain perception_;
   rl::AugmentedState last_state_;
   Rng act_rng_;
 };

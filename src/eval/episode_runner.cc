@@ -13,6 +13,9 @@ namespace head::eval {
 
 namespace {
 
+/// Trace steps keep every vehicle within this distance of the ego.
+constexpr double kTraceNearbyWindowM = 120.0;
+
 struct FollowerStat {
   double sum_v = 0.0;
   long steps = 0;
@@ -22,12 +25,8 @@ struct FollowerStat {
 }  // namespace
 
 EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
-                         uint64_t seed, int episode_index) {
-  // Flight recorder: install the episode context and (only while recording)
-  // a reward function so dumped records carry the Eq. 28 decomposition the
-  // training env would have seen. Baseline policies don't compute rewards
-  // themselves, so this is the eval path's only reward source.
-  std::optional<rl::RewardFunction> reward_fn;
+                         uint64_t seed, int episode_index,
+                         EpisodeTrace* trace) {
   if (obs::RecordingEnabled()) {
     obs::EpisodeContext ctx;
     ctx.scenario = config.scenario_name;
@@ -35,10 +34,17 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
     ctx.seed = seed;
     ctx.episode_index = episode_index;
     obs::BeginEpisode(ctx);
-    reward_fn.emplace(rl::RewardConfig{}, config.sim.road);
+  }
+  if (trace != nullptr) {
+    *trace = EpisodeTrace{};
+    trace->policy_name = policy.name();
+    trace->seed = seed;
   }
 
   sim::Simulation sim(config.sim, seed);
+  // The Eq. 28 reward the training env would have given each step; baseline
+  // policies compute none themselves. Feeds traces and flight-recorder dumps.
+  const rl::RewardFunction reward_fn(rl::RewardConfig{}, config.sim.road);
   policy.OnEpisodeStart();
 
   EpisodeRecord rec;
@@ -53,14 +59,9 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
 
   while (sim.status() == sim::EpisodeStatus::kRunning) {
     HEAD_SPAN("episode.step");
-    const sim::RoadView before = sim.View();
     const VehicleState ego_before = sim.ego_state();
-
-    // Rear conventional vehicle (for #-CA / D-CA) before the step.
-    const sim::VehicleSnapshot* rear =
-        before.Follower(ego_before.lane, ego_before.lon_m, kEgoVehicleId);
-    const VehicleId rear_id = rear != nullptr ? rear->id : kInvalidVehicleId;
-    const double rear_v = rear != nullptr ? rear->state.v_mps : 0.0;
+    // Rear conventional vehicle (for #-CA / D-CA and Eq. 30) before the step.
+    const std::optional<sim::VehicleSnapshot> rear = rl::RearVehicle(sim);
 
     // The policy only sees the sensor output.
     decision::EgoView view;
@@ -70,38 +71,30 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
     view.prev_accel_mps2 = prev_accel;
     const Maneuver maneuver = policy.Decide(view);
 
-    const sim::EpisodeStatus status = sim.Step(maneuver);
+    sim.Step(maneuver);
     ++steps;
 
     const VehicleState ego_after = sim.ego_state();
+    const rl::RewardObservation robs = rl::ObserveTransition(
+        sim, rear, maneuver.accel_mps2, prev_accel);
+    // The scratch already holds perception + decision fills from
+    // policy.Decide and the ego outcome from sim.Step; Compute adds the
+    // reward decomposition, then the record is sealed.
+    const rl::RewardTerms reward = reward_fn.Compute(robs);
+    if (obs::RecordingEnabled()) obs::CommitStepRecord();
 
-    if (reward_fn.has_value()) {
-      // The scratch already holds perception + decision fills from
-      // policy.Decide and the ego outcome from sim.Step; Compute adds the
-      // reward decomposition, then the record is sealed.
-      rl::RewardObservation robs;
-      robs.collision = status == sim::EpisodeStatus::kCollision;
-      robs.ego_next = ego_after;
-      robs.accel_now_mps2 = maneuver.accel_mps2;
-      robs.accel_prev_mps2 = prev_accel;
-      if (config.sim.road.IsValidLane(ego_after.lane)) {
-        // The view must outlive the Leader() pointer into it.
-        const sim::RoadView after = sim.View();
-        const sim::VehicleSnapshot* front =
-            after.Leader(ego_after.lane, ego_after.lon_m, kEgoVehicleId);
-        if (front != nullptr) robs.front_next = front->state;
-      }
-      if (rear_id != kInvalidVehicleId) {
-        robs.rear_v_now_mps = rear_v;
-        for (const sim::Vehicle& v : sim.conventional_vehicles()) {
-          if (v.id == rear_id) {
-            robs.rear_v_next_mps = v.state.v_mps;
-            break;
-          }
+    if (trace != nullptr) {
+      TraceStep& step = trace->steps.emplace_back();
+      step.time_s = sim.time_s();
+      step.ego = ego_after;
+      step.maneuver = maneuver;
+      step.reward = reward;
+      step.observed_vehicles = static_cast<int>(view.observed.size());
+      for (const sim::VehicleSnapshot& v : sim.GlobalSnapshot()) {
+        if (std::fabs(DLon(v.state, ego_after)) <= kTraceNearbyWindowM) {
+          step.nearby.push_back(v);
         }
       }
-      reward_fn->Compute(robs);
-      obs::CommitStepRecord();
     }
 
     sum_v += ego_after.v_mps;
@@ -109,28 +102,19 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
     prev_accel = maneuver.accel_mps2;
 
     // TTC with the front vehicle after the step.
-    if (config.sim.road.IsValidLane(ego_after.lane)) {
-      const sim::RoadView after = sim.View();
-      const sim::VehicleSnapshot* front =
-          after.Leader(ego_after.lane, ego_after.lon_m, kEgoVehicleId);
-      if (front != nullptr) {
-        const std::optional<double> ttc =
-            rl::TimeToCollision(front->state, ego_after);
-        if (ttc.has_value()) min_ttc = std::min(min_ttc, *ttc);
-      }
+    if (robs.front_next.has_value()) {
+      const std::optional<double> ttc =
+          rl::TimeToCollision(*robs.front_next, ego_after);
+      if (ttc.has_value()) min_ttc = std::min(min_ttc, *ttc);
     }
 
     // Rear-vehicle impact.
-    if (rear_id != kInvalidVehicleId) {
-      for (const sim::Vehicle& v : sim.conventional_vehicles()) {
-        if (v.id != rear_id) continue;
-        const double drop = rear_v - v.state.v_mps;
-        if (drop > 0.5) ++rec.rear_decel_events;
-        if (drop > 0.0) {
-          rear_decel_sum += drop;
-          ++rear_decel_steps;
-        }
-        break;
+    if (robs.rear_v_next_mps.has_value()) {
+      const double drop = *robs.rear_v_now_mps - *robs.rear_v_next_mps;
+      if (drop > 0.5) ++rec.rear_decel_events;
+      if (drop > 0.0) {
+        rear_decel_sum += drop;
+        ++rear_decel_steps;
       }
     }
 
@@ -149,6 +133,7 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
   if (obs::RecordingEnabled()) {
     obs::EndEpisode(sim::ToEpisodeEnd(sim.status()));
   }
+  if (trace != nullptr) trace->final_status = sim.status();
 
   rec.completed = sim.status() == sim::EpisodeStatus::kReachedDestination;
   rec.collided = sim.status() == sim::EpisodeStatus::kCollision;

@@ -1,11 +1,13 @@
 // Runs a decision::Policy through test episodes in the simulator, feeding it
 // only sensor observations, and gathers the Table I/II metrics from the
-// simulator's ground truth.
+// simulator's ground truth — the one policy/sim episode loop, which also
+// records per-step traces and flight-recorder dumps.
 #ifndef HEAD_EVAL_EPISODE_RUNNER_H_
 #define HEAD_EVAL_EPISODE_RUNNER_H_
 
 #include "decision/policy.h"
 #include "eval/metrics.h"
+#include "eval/trace.h"
 #include "sensor/sensor_model.h"
 #include "sim/simulation.h"
 
@@ -29,8 +31,11 @@ struct RunnerConfig {
 
 /// Runs one episode from `seed` and returns its record. `episode_index` is
 /// recorded in flight-recorder dumps (display only; replay uses the seed).
+/// When `trace` is set it receives every step (ego state, maneuver, Eq. 28
+/// reward terms, neighborhood) for CSV export and rendering.
 EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
-                         uint64_t seed, int episode_index = 0);
+                         uint64_t seed, int episode_index = 0,
+                         EpisodeTrace* trace = nullptr);
 
 /// Runs config.episodes episodes (seed_base + k) and aggregates.
 AggregateMetrics RunPolicy(decision::Policy& policy,

@@ -1,6 +1,7 @@
-// Episode tracing: records every step of a policy-driven episode (ego
-// state, maneuver, reward terms, neighborhood) for offline analysis —
-// CSV export and a terminal renderer for quick visual inspection.
+// Episode traces: every step of a policy-driven episode (ego state,
+// maneuver, reward terms, neighborhood) as recorded by eval::RunEpisode,
+// for offline analysis — CSV export and a terminal renderer for quick
+// visual inspection.
 #ifndef HEAD_EVAL_TRACE_H_
 #define HEAD_EVAL_TRACE_H_
 
@@ -8,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "decision/policy.h"
 #include "rl/reward.h"
-#include "sensor/sensor_model.h"
 #include "sim/simulation.h"
 
 namespace head::eval {
@@ -32,17 +31,6 @@ struct EpisodeTrace {
   sim::EpisodeStatus final_status = sim::EpisodeStatus::kRunning;
   std::vector<TraceStep> steps;
 };
-
-struct TraceConfig {
-  sim::SimConfig sim;
-  sensor::SensorConfig sensor;
-  rl::RewardConfig reward;
-  double nearby_window_m = 120.0;
-};
-
-/// Runs one episode under `policy`, recording every step.
-EpisodeTrace RecordEpisode(decision::Policy& policy,
-                           const TraceConfig& config, uint64_t seed);
 
 /// Writes the trace as CSV (one row per step; nearby vehicles omitted).
 void WriteTraceCsv(const EpisodeTrace& trace, std::ostream& os);

@@ -206,16 +206,8 @@ std::shared_ptr<rl::PdqnAgent> TrainOrLoadHeadPolicy(
   ScopedTrainingProfile prof(profile, key);
   rl::RlTrainConfig train = profile.rl_train;
   train.seed = profile.seed + 29;
-  rl::RlTrainResult result;
-  if (profile.rollout_envs > 1) {
-    parallel::EnvPool envs = MakeEnvPool(profile, variant, predictor);
-    result = rl::TrainAgent(*agent, envs, train);
-  } else {
-    rl::DrivingEnv env(head.MakeEnvConfig(profile.rl_sim),
-                       variant.use_lst_gat ? predictor.get() : nullptr,
-                       profile.seed);
-    result = rl::TrainAgent(*agent, env, train);
-  }
+  parallel::EnvPool envs = MakeEnvPool(profile, variant, predictor);
+  const rl::RlTrainResult result = rl::TrainAgent(*agent, envs, train);
   if (train_result != nullptr) *train_result = result;
   nn::SaveParamsToFile(params, path);
   DumpTrainingMetrics(profile, key);
@@ -244,18 +236,11 @@ std::shared_ptr<rl::DrlScAgent> TrainOrLoadDrlSc(
                  << " episodes, " << profile.name << " profile, K="
                  << profile.rollout_envs << " rollout envs)";
   ScopedTrainingProfile prof(profile, "policy_DRL_SC");
-  core::HeadVariant variant = core::HeadVariant::WithoutLstGat();
+  const core::HeadVariant variant = core::HeadVariant::WithoutLstGat();
   rl::RlTrainConfig train = profile.rl_train;
   train.seed = profile.seed + 31;
-  if (profile.rollout_envs > 1) {
-    parallel::EnvPool envs = MakeEnvPool(profile, variant, nullptr);
-    rl::TrainAgent(*agent, envs, train);
-  } else {
-    rl::EnvConfig env_config =
-        MakeHeadConfig(profile, variant).MakeEnvConfig(profile.rl_sim);
-    rl::DrivingEnv env(env_config, nullptr, profile.seed);
-    rl::TrainAgent(*agent, env, train);
-  }
+  parallel::EnvPool envs = MakeEnvPool(profile, variant, nullptr);
+  rl::TrainAgent(*agent, envs, train);
   nn::SaveParamsToFile(agent->q_mlp(), path);
   DumpTrainingMetrics(profile, "policy_DRL_SC");
   return agent;

@@ -9,8 +9,9 @@
 // runs the episode is irrelevant, so a rollout's per-episode results are
 // identical for any thread count, and greedy evaluation is identical for
 // any pool size K as well. Training rounds freeze the learner between
-// collections (see rl::TrainAgent's EnvPool overload), so training is
-// reproducible for a fixed K.
+// collections (see rl::TrainAgent), so training is reproducible for a
+// fixed K. RunAgentEpisode is the one agent/env episode loop; the pool only
+// decides which env runs which episode.
 //
 // Transitions stream into a mutex-striped buffer (one stripe per env, so
 // concurrent pushes rarely contend) and are drained in episode order, which
@@ -98,37 +99,104 @@ class StripedTransitionBuffer {
   std::vector<Shard> shards_;  // never resized: Shard is not movable
 };
 
+/// Per-episode summary, independent of which env/worker ran it.
+struct EpisodeResult {
+  int index = 0;              ///< global episode index
+  int steps = 0;
+  double reward_sum = 0.0;    ///< Σ per-step total reward, in step order
+  rl::RewardTerms terms;      ///< per-term sums (Eq. 28 decomposition)
+  double min_step_reward = std::numeric_limits<double>::infinity();
+  double max_step_reward = -std::numeric_limits<double>::infinity();
+  bool collision = false;     ///< episode ended in a collision
+};
+
+struct RolloutOptions {
+  uint64_t seed_base = 1;
+  int max_steps_per_episode = 100000;
+  /// Exploration rate per episode (indexed by episode offset within the
+  /// run); empty means greedy (ε = 0) everywhere.
+  std::vector<double> epsilons;
+  /// When set, every transition is pushed here as (global episode index,
+  /// transition) for ordered draining by the learner.
+  StripedTransitionBuffer* transitions = nullptr;
+  /// Scenario name stamped into flight-recorder episode contexts. Only
+  /// used while obs::RecordingEnabled().
+  std::string scenario_name;
+};
+
+/// The agent/env episode loop — the only one: pooled rollouts, training
+/// collection and serial evaluation all run their episodes through it.
+/// Resets `env` with SplitMix(seed_base, 2·index), draws action noise from
+/// SplitMix(seed_base, 2·index + 1) and steps until the episode ends or
+/// reaches opts.max_steps_per_episode. Forward passes run under
+/// NoGradGuard — rollouts never build autograd graphs.
+inline EpisodeResult RunAgentEpisode(rl::PamdpAgent& agent,
+                                     rl::DrivingEnv& env, int global_index,
+                                     double epsilon,
+                                     const RolloutOptions& opts) {
+  // The guard also covers worker threads, whose thread-local grad mode
+  // starts enabled.
+  const nn::NoGradGuard no_grad;
+  EpisodeResult result;
+  result.index = global_index;
+  const uint64_t gi = static_cast<uint64_t>(global_index);
+  // Flight recorder: rings are thread-local, so concurrent episodes never
+  // share a scratch; the manifest records the episode's own reset seed.
+  if (obs::RecordingEnabled()) {
+    obs::EpisodeContext ctx;
+    ctx.scenario = opts.scenario_name;
+    ctx.policy = agent.name();
+    ctx.seed = SplitMix(opts.seed_base, 2 * gi);
+    ctx.episode_index = global_index;
+    obs::BeginEpisode(ctx);
+  }
+  sim::EpisodeStatus status = sim::EpisodeStatus::kRunning;
+  rl::AugmentedState state = env.Reset(SplitMix(opts.seed_base, 2 * gi));
+  Rng rng(SplitMix(opts.seed_base, 2 * gi + 1));
+  while (result.steps < opts.max_steps_per_episode) {
+    const rl::AgentAction action = agent.Act(state, epsilon, rng);
+    if (obs::RecordingEnabled()) {
+      obs::ScratchRecord().rng_cursor = rng.draws();
+    }
+    const rl::DrivingEnv::StepOutcome outcome = env.Step(action.maneuver);
+    const double r = outcome.reward.total;
+    result.reward_sum += r;
+    result.terms.safety += outcome.reward.safety;
+    result.terms.efficiency += outcome.reward.efficiency;
+    result.terms.comfort += outcome.reward.comfort;
+    result.terms.impact += outcome.reward.impact;
+    result.min_step_reward = std::min(result.min_step_reward, r);
+    result.max_step_reward = std::max(result.max_step_reward, r);
+    ++result.steps;
+    if (opts.transitions != nullptr) {
+      rl::Transition t;
+      t.state = state;
+      t.behavior = action.behavior;
+      t.params = action.params;
+      t.reward = r;
+      t.next_state = outcome.next_state;
+      t.terminal = outcome.done;
+      opts.transitions->Push(global_index, std::move(t));
+    }
+    state = outcome.next_state;
+    status = outcome.status;
+    if (outcome.done) {
+      result.collision = outcome.status == sim::EpisodeStatus::kCollision;
+      break;
+    }
+  }
+  if (obs::RecordingEnabled()) obs::EndEpisode(sim::ToEpisodeEnd(status));
+  return result;
+}
+
 class EnvPool {
  public:
   /// Builds env `index` (0-based). Every env must be configured
   /// identically for the reproducibility contract to hold; the index is
   /// provided for instrumentation only.
   using EnvFactory = std::function<std::unique_ptr<rl::DrivingEnv>(int)>;
-
-  /// Per-episode summary, independent of which env/worker ran it.
-  struct EpisodeResult {
-    int index = 0;              ///< global episode index
-    int steps = 0;
-    double reward_sum = 0.0;    ///< Σ per-step total reward, in step order
-    rl::RewardTerms terms;      ///< per-term sums (Eq. 28 decomposition)
-    double min_step_reward = std::numeric_limits<double>::infinity();
-    double max_step_reward = -std::numeric_limits<double>::infinity();
-    bool collision = false;     ///< episode ended in a collision
-  };
-
-  struct RolloutOptions {
-    uint64_t seed_base = 1;
-    int max_steps_per_episode = 100000;
-    /// Exploration rate per episode (indexed by episode offset within the
-    /// run); empty means greedy (ε = 0) everywhere.
-    std::vector<double> epsilons;
-    /// When set, every transition is pushed here as (global episode index,
-    /// transition) for ordered draining by the learner.
-    StripedTransitionBuffer* transitions = nullptr;
-    /// Scenario name stamped into flight-recorder episode contexts. Only
-    /// used while obs::RecordingEnabled().
-    std::string scenario_name;
-  };
+  using EpisodeResult = parallel::EpisodeResult;
+  using RolloutOptions = parallel::RolloutOptions;
 
   /// `pool` defaults to ThreadPool::Global().
   EnvPool(int num_envs, const EnvFactory& factory, ThreadPool* pool = nullptr)
@@ -146,8 +214,7 @@ class EnvPool {
   /// count) against `agent` (whose parameters must stay frozen for the
   /// duration), fanning out across the pool. Episode offset j runs on env
   /// j % K; each env processes its episodes in ascending order. Returns
-  /// per-episode results indexed by offset j. Forward passes run under
-  /// NoGradGuard — rollouts never build autograd graphs.
+  /// per-episode results indexed by offset j.
   std::vector<EpisodeResult> RunEpisodes(rl::PamdpAgent& agent,
                                          int first_index, int count,
                                          const RolloutOptions& opts) {
@@ -167,11 +234,11 @@ class EnvPool {
         rl::DrivingEnv& env = *envs_[e];
         for (int j = static_cast<int>(e); j < count; j += k) {
           const auto t0 = std::chrono::steady_clock::now();
-          results[j] = RunOneEpisode(agent, env, first_index + j,
-                                     j < static_cast<int>(opts.epsilons.size())
-                                         ? opts.epsilons[j]
-                                         : 0.0,
-                                     opts);
+          results[j] = RunAgentEpisode(
+              agent, env, first_index + j,
+              j < static_cast<int>(opts.epsilons.size()) ? opts.epsilons[j]
+                                                         : 0.0,
+              opts);
           episode_latency.Observe(std::chrono::duration<double>(
                                       std::chrono::steady_clock::now() - t0)
                                       .count());
@@ -183,66 +250,6 @@ class EnvPool {
   }
 
  private:
-  static EpisodeResult RunOneEpisode(rl::PamdpAgent& agent,
-                                     rl::DrivingEnv& env, int global_index,
-                                     double epsilon,
-                                     const RolloutOptions& opts) {
-    // Rollouts are pure inference; the guard also covers worker threads,
-    // whose thread-local grad mode starts enabled.
-    const nn::NoGradGuard no_grad;
-    EpisodeResult result;
-    result.index = global_index;
-    const uint64_t gi = static_cast<uint64_t>(global_index);
-    // Flight recorder: rings are thread-local, so concurrent episodes never
-    // share a scratch; the manifest records the episode's own reset seed.
-    if (obs::RecordingEnabled()) {
-      obs::EpisodeContext ctx;
-      ctx.scenario = opts.scenario_name;
-      ctx.policy = agent.name();
-      ctx.seed = SplitMix(opts.seed_base, 2 * gi);
-      ctx.episode_index = global_index;
-      obs::BeginEpisode(ctx);
-    }
-    sim::EpisodeStatus status = sim::EpisodeStatus::kRunning;
-    rl::AugmentedState state =
-        env.Reset(SplitMix(opts.seed_base, 2 * gi));
-    Rng rng(SplitMix(opts.seed_base, 2 * gi + 1));
-    while (result.steps < opts.max_steps_per_episode) {
-      const rl::AgentAction action = agent.Act(state, epsilon, rng);
-      if (obs::RecordingEnabled()) {
-        obs::ScratchRecord().rng_cursor = rng.draws();
-      }
-      const rl::DrivingEnv::StepOutcome outcome = env.Step(action.maneuver);
-      const double r = outcome.reward.total;
-      result.reward_sum += r;
-      result.terms.safety += outcome.reward.safety;
-      result.terms.efficiency += outcome.reward.efficiency;
-      result.terms.comfort += outcome.reward.comfort;
-      result.terms.impact += outcome.reward.impact;
-      result.min_step_reward = std::min(result.min_step_reward, r);
-      result.max_step_reward = std::max(result.max_step_reward, r);
-      ++result.steps;
-      if (opts.transitions != nullptr) {
-        rl::Transition t;
-        t.state = state;
-        t.behavior = action.behavior;
-        t.params = action.params;
-        t.reward = r;
-        t.next_state = outcome.next_state;
-        t.terminal = outcome.done;
-        opts.transitions->Push(global_index, std::move(t));
-      }
-      state = outcome.next_state;
-      status = outcome.status;
-      if (outcome.done) {
-        result.collision = outcome.status == sim::EpisodeStatus::kCollision;
-        break;
-      }
-    }
-    if (obs::RecordingEnabled()) obs::EndEpisode(sim::ToEpisodeEnd(status));
-    return result;
-  }
-
   ThreadPool* pool_;
   std::vector<std::unique_ptr<rl::DrivingEnv>> envs_;
 };

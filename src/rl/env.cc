@@ -7,16 +7,49 @@
 
 namespace head::rl {
 
+PerceptionChain::PerceptionChain(const RoadConfig& road, double sensor_range_m,
+                                 const perception::FeatureScale& scale,
+                                 int history_z, bool use_pvc,
+                                 const perception::StatePredictor* predictor)
+    : road_(road),
+      sensor_range_m_(sensor_range_m),
+      scale_(scale),
+      use_pvc_(use_pvc),
+      predictor_(predictor),
+      history_(history_z) {}
+
+AugmentedState PerceptionChain::Perceive(perception::ObservationFrame frame) {
+  history_.Push(std::move(frame));
+  perception::CompletedScene scene;
+  {
+    HEAD_SPAN("perception.phantom");
+    scene = perception::ConstructPhantoms(history_, road_, sensor_range_m_,
+                                          use_pvc_);
+  }
+  {
+    HEAD_SPAN("perception.graph");
+    graph_ = perception::BuildStGraph(scene, road_, scale_);
+  }
+  perception::Prediction prediction{};
+  if (predictor_ != nullptr) {
+    prediction = predictor_->Predict(graph_);  // spans itself
+  }
+  HEAD_SPAN("perception.augment");
+  return BuildAugmentedState(graph_, prediction, road_, scale_,
+                             predictor_ != nullptr);
+}
+
 DrivingEnv::DrivingEnv(const EnvConfig& config,
                        const perception::StatePredictor* predictor,
                        uint64_t seed)
     : config_(config),
-      predictor_(predictor),
       sim_(config.sim, seed),
-      history_(config.history_z),
+      perception_(config.sim.road, config.sensor.range_m, config.scale,
+                  config.history_z, config.use_pvc,
+                  config.use_prediction ? predictor : nullptr),
       reward_fn_(config.reward, config.sim.road) {
   if (config_.use_prediction) {
-    HEAD_CHECK_MSG(predictor_ != nullptr,
+    HEAD_CHECK_MSG(predictor != nullptr,
                    "use_prediction requires a state predictor");
   }
 }
@@ -28,35 +61,14 @@ AugmentedState DrivingEnv::Perceive() {
   frame.ego = sim_.ego_state();
   frame.observed = sensor::Observe(sim_.GlobalSnapshot(), sim_.ego_state(),
                                    config_.sensor, config_.sim.road);
-  history_.Push(std::move(frame));
-  const perception::CompletedScene scene = perception::ConstructPhantoms(
-      history_, config_.sim.road, config_.sensor.range_m, config_.use_pvc);
-  graph_ = perception::BuildStGraph(scene, config_.sim.road, config_.scale);
-
-  perception::Prediction prediction{};
-  if (config_.use_prediction) {
-    prediction = predictor_->Predict(graph_);
-  }
-  return BuildAugmentedState(graph_, prediction, config_.sim.road,
-                             config_.scale, config_.use_prediction);
+  return perception_.Perceive(std::move(frame));
 }
 
 AugmentedState DrivingEnv::Reset(uint64_t seed) {
   sim_.Reset(seed);
-  history_.Clear();
+  perception_.Clear();
   prev_accel_ = 0.0;
   return Perceive();
-}
-
-std::optional<sim::VehicleSnapshot> DrivingEnv::RealNeighbor(
-    bool front) const {
-  const sim::RoadView view = sim_.View();
-  const VehicleState& ego = sim_.ego_state();
-  const sim::VehicleSnapshot* v =
-      front ? view.Leader(ego.lane, ego.lon_m, kEgoVehicleId)
-            : view.Follower(ego.lane, ego.lon_m, kEgoVehicleId);
-  if (v == nullptr) return std::nullopt;
-  return *v;
 }
 
 DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {
@@ -66,7 +78,7 @@ DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {
 
   // Remember the rear conventional vehicle before acting (impact reward
   // compares its velocity across the transition, Eq. 30).
-  const std::optional<sim::VehicleSnapshot> rear_before = RealNeighbor(false);
+  const std::optional<sim::VehicleSnapshot> rear_before = RearVehicle(sim_);
 
   const sim::EpisodeStatus status = [&] {
     HEAD_PROF_SCOPE("env.sim");
@@ -76,26 +88,8 @@ DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {
   StepOutcome out;
   out.status = status;
   out.done = status != sim::EpisodeStatus::kRunning;
-
-  RewardObservation obs;
-  obs.collision = status == sim::EpisodeStatus::kCollision;
-  obs.ego_next = sim_.ego_state();
-  obs.accel_now_mps2 = maneuver.accel_mps2;
-  obs.accel_prev_mps2 = prev_accel_;
-  const std::optional<sim::VehicleSnapshot> front_after = RealNeighbor(true);
-  if (front_after.has_value()) obs.front_next = front_after->state;
-  if (rear_before.has_value()) {
-    obs.rear_v_now_mps = rear_before->state.v_mps;
-    // Track the same vehicle after the step (it may have changed lanes or
-    // fallen out of being "the" follower — what matters is its slowdown).
-    for (const sim::Vehicle& v : sim_.conventional_vehicles()) {
-      if (v.id == rear_before->id) {
-        obs.rear_v_next_mps = v.state.v_mps;
-        break;
-      }
-    }
-  }
-  out.reward = reward_fn_.Compute(obs);
+  out.reward = reward_fn_.Compute(ObserveTransition(
+      sim_, rear_before, maneuver.accel_mps2, prev_accel_));
 
   // Flight recorder: the scratch now holds this step's full story
   // (perception from the pre-step Perceive, the agent's decision internals,

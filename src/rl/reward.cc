@@ -16,6 +16,45 @@ std::optional<double> TimeToCollision(const VehicleState& front,
   return d / closing;
 }
 
+std::optional<sim::VehicleSnapshot> RearVehicle(const sim::Simulation& sim) {
+  const sim::RoadView view = sim.View();
+  const VehicleState& ego = sim.ego_state();
+  const sim::VehicleSnapshot* rear =
+      view.Follower(ego.lane, ego.lon_m, kEgoVehicleId);
+  if (rear == nullptr) return std::nullopt;
+  return *rear;
+}
+
+RewardObservation ObserveTransition(
+    const sim::Simulation& sim,
+    const std::optional<sim::VehicleSnapshot>& rear_before,
+    double accel_now_mps2, double accel_prev_mps2) {
+  RewardObservation obs;
+  obs.collision = sim.status() == sim::EpisodeStatus::kCollision;
+  obs.ego_next = sim.ego_state();
+  obs.accel_now_mps2 = accel_now_mps2;
+  obs.accel_prev_mps2 = accel_prev_mps2;
+  {
+    // The view must outlive the Leader() pointer into it.
+    const sim::RoadView view = sim.View();
+    const sim::VehicleSnapshot* front =
+        view.Leader(obs.ego_next.lane, obs.ego_next.lon_m, kEgoVehicleId);
+    if (front != nullptr) obs.front_next = front->state;
+  }
+  if (rear_before.has_value()) {
+    obs.rear_v_now_mps = rear_before->state.v_mps;
+    // Track the same vehicle after the step (it may have changed lanes or
+    // fallen out of being "the" follower — what matters is its slowdown).
+    for (const sim::Vehicle& v : sim.conventional_vehicles()) {
+      if (v.id == rear_before->id) {
+        obs.rear_v_next_mps = v.state.v_mps;
+        break;
+      }
+    }
+  }
+  return obs;
+}
+
 RewardTerms RewardFunction::Compute(const RewardObservation& obs) const {
   RewardTerms r;
 

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/types.h"
+#include "sim/simulation.h"
 
 namespace head::rl {
 
@@ -39,6 +40,19 @@ struct RewardObservation {
   double accel_now_mps2 = 0.0;   ///< A^t.a
   double accel_prev_mps2 = 0.0;  ///< A^{t−1}.a
 };
+
+/// The conventional vehicle directly behind the ego (C_5), or nullopt.
+/// Captured before sim.Step for ObserveTransition.
+std::optional<sim::VehicleSnapshot> RearVehicle(const sim::Simulation& sim);
+
+/// Builds the transition's reward observation from `rear_before`
+/// (RearVehicle just before sim.Step) and the simulator state just after
+/// it. The one place any loop derives the front/rear vehicles the reward
+/// sees, so training and evaluation score a step identically.
+RewardObservation ObserveTransition(
+    const sim::Simulation& sim,
+    const std::optional<sim::VehicleSnapshot>& rear_before,
+    double accel_now_mps2, double accel_prev_mps2);
 
 struct RewardTerms {
   double safety = 0.0;      ///< r1 ∈ [−3, 0]

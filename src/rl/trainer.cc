@@ -6,11 +6,8 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "nn/autograd.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/span.h"
-#include "sim/simulation.h"
 
 namespace head::rl {
 
@@ -22,8 +19,8 @@ const std::vector<double>& RewardBounds() {
   return obs::CachedLinearBounds(-4.0, 4.0, 0.1);
 }
 
-/// Training telemetry shared by the serial and parallel loops. Resolved once
-/// per process (references into the global registry stay valid forever).
+/// Training telemetry. Resolved once per process (references into the
+/// global registry stay valid forever).
 struct TrainTelemetry {
   obs::Counter& episodes = obs::GetCounter("rl.episodes");
   obs::Gauge& epsilon = obs::GetGauge("rl.epsilon");
@@ -111,18 +108,6 @@ void AppendCurveRow(obs::TimeSeries* ts, double t, int episode,
   ts->Append(t, row);
 }
 
-/// Installs the flight-recorder episode context for the upcoming episode.
-void RecorderBeginEpisode(const RlTrainConfig& config,
-                          const std::string& policy, uint64_t seed, int ep) {
-  if (!obs::RecordingEnabled()) return;
-  obs::EpisodeContext ctx;
-  ctx.scenario = config.scenario_name;
-  ctx.policy = policy;
-  ctx.seed = seed;
-  ctx.episode_index = ep;
-  obs::BeginEpisode(ctx);
-}
-
 /// ε for episode `ep` under the linear decay schedule.
 double EpsilonAt(const RlTrainConfig& config, int ep) {
   const double decay_episodes =
@@ -158,78 +143,6 @@ void ComputeConvergence(RlTrainResult& result, int episodes) {
 
 }  // namespace
 
-RlTrainResult TrainAgent(PamdpAgent& agent, DrivingEnv& env,
-                         const RlTrainConfig& config) {
-  HEAD_CHECK_GT(config.episodes, 0);
-  Rng rng(config.seed);
-  RlTrainResult result;
-  const auto start = std::chrono::steady_clock::now();
-  HistogramDeltaMean critic_loss_window(CriticLossHistogram());
-
-  size_t next_lr_decay = 0;
-  for (int ep = 0; ep < config.episodes; ++ep) {
-    if (next_lr_decay < config.lr_decay_at_fractions.size() &&
-        ep >= config.lr_decay_at_fractions[next_lr_decay] *
-                  config.episodes) {
-      agent.ScaleLearningRate(config.lr_decay_factor);
-      ++next_lr_decay;
-    }
-    const double epsilon = EpsilonAt(config, ep);
-
-    TrainTelemetry& telemetry = TrainTelemetry::Get();
-    HEAD_SPAN("rl.train.episode");
-    telemetry.episodes.Add();
-    telemetry.epsilon.Set(epsilon);
-
-    const uint64_t ep_seed = config.seed * 7919 + ep;
-    RecorderBeginEpisode(config, agent.name(), ep_seed, ep);
-    AugmentedState state = env.Reset(ep_seed);
-    double ep_reward = 0.0;
-    RewardTerms ep_terms;  // per-episode sums of the Eq. 28 decomposition
-    int steps = 0;
-    sim::EpisodeStatus status = sim::EpisodeStatus::kRunning;
-    while (steps < config.max_steps_per_episode) {
-      const AgentAction action = agent.Act(state, epsilon, rng);
-      if (obs::RecordingEnabled()) {
-        obs::ScratchRecord().rng_cursor = rng.draws();
-      }
-      const DrivingEnv::StepOutcome outcome = env.Step(action.maneuver);
-      agent.Remember(state, action, outcome.reward.total, outcome.next_state,
-                     outcome.done);
-      agent.Update(rng);
-      ep_reward += outcome.reward.total;
-      ep_terms.safety += outcome.reward.safety;
-      ep_terms.efficiency += outcome.reward.efficiency;
-      ep_terms.comfort += outcome.reward.comfort;
-      ep_terms.impact += outcome.reward.impact;
-      ++steps;
-      state = outcome.next_state;
-      status = outcome.status;
-      if (outcome.done) break;
-    }
-    if (obs::RecordingEnabled()) obs::EndEpisode(sim::ToEpisodeEnd(status));
-    ObserveEpisodeTelemetry(telemetry, ep_reward, ep_terms, steps);
-    result.episode_rewards.push_back(ep_reward / std::max(steps, 1));
-    result.episode_elapsed_seconds.push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-    double critic_loss = 0.0;
-    const bool have_loss = critic_loss_window.Sample(&critic_loss);
-    AppendCurveRow(config.timeseries, result.episode_elapsed_seconds.back(),
-                   ep, result.episode_rewards.back(), epsilon, ep_terms,
-                   steps, have_loss ? &critic_loss : nullptr);
-    if (config.verbose && (ep + 1) % 10 == 0) {
-      HEAD_LOG(Info) << agent.name() << " episode " << ep + 1 << "/"
-                     << config.episodes
-                     << " mean step reward=" << result.episode_rewards.back()
-                     << " eps=" << epsilon;
-    }
-  }
-  result.total_seconds = result.episode_elapsed_seconds.back();
-  ComputeConvergence(result, config.episodes);
-  return result;
-}
-
 RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
                          const RlTrainConfig& config) {
   HEAD_CHECK_GT(config.episodes, 0);
@@ -251,8 +164,8 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
        round_start += k) {
     const int round = std::min(k, config.episodes - round_start);
     // Schedules advance at round granularity: parameters are frozen within
-    // a round, so the decay that the serial loop would have applied mid-
-    // round lands at the round boundary instead. Deterministic for fixed K.
+    // a round, so a decay point inside a round lands at the round boundary.
+    // Deterministic for fixed K.
     if (next_lr_decay < config.lr_decay_at_fractions.size() &&
         round_start >= config.lr_decay_at_fractions[next_lr_decay] *
                            config.episodes) {
@@ -261,7 +174,7 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
     }
 
     HEAD_SPAN("rl.train.round");
-    parallel::EnvPool::RolloutOptions opts;
+    parallel::RolloutOptions opts;
     opts.seed_base = config.seed;
     opts.max_steps_per_episode = config.max_steps_per_episode;
     opts.epsilons.resize(round);
@@ -269,19 +182,19 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
       opts.epsilons[j] = EpsilonAt(config, round_start + j);
     }
     opts.transitions = &buffer;
-    const std::vector<parallel::EnvPool::EpisodeResult> episodes =
+    const std::vector<parallel::EpisodeResult> episodes =
         envs.RunEpisodes(agent, round_start, round, opts);
 
     telemetry.episodes.Add(round);
     telemetry.epsilon.Set(opts.epsilons.back());
-    for (const parallel::EnvPool::EpisodeResult& ep : episodes) {
+    for (const parallel::EpisodeResult& ep : episodes) {
       ObserveEpisodeTelemetry(telemetry, ep.reward_sum, ep.terms, ep.steps);
       result.episode_rewards.push_back(ep.reward_sum /
                                        std::max(ep.steps, 1));
     }
 
     // Learning phase: drain in episode order and replay — one Remember +
-    // one Update per transition, exactly the serial loop's cadence.
+    // one Update per transition.
     for (auto& [index, steps] : buffer.DrainOrdered()) {
       (void)index;
       for (Transition& t : steps) {
@@ -305,7 +218,7 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
     double critic_loss = 0.0;
     const bool have_loss = critic_loss_window.Sample(&critic_loss);
     for (int j = 0; j < round; ++j) {
-      const parallel::EnvPool::EpisodeResult& ep = episodes[j];
+      const parallel::EpisodeResult& ep = episodes[j];
       AppendCurveRow(config.timeseries, elapsed, round_start + j,
                      ep.reward_sum / std::max(ep.steps, 1),
                      opts.epsilons[j], ep.terms, ep.steps,
@@ -326,88 +239,55 @@ RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
 
 namespace {
 
-/// Folds one episode's summary into the running stats. Per-step rewards are
+/// Aggregates per-episode summaries in episode order: per-step rewards are
 /// summed within an episode first and episode sums are added in episode
-/// order, so the serial and pooled evaluators accumulate in the same order
-/// and produce bitwise-identical statistics.
-void FoldEpisode(RewardStats& stats, double& sum,
-                 const parallel::EnvPool::EpisodeResult& ep) {
-  stats.min_reward = std::min(stats.min_reward, ep.min_step_reward);
-  stats.max_reward = std::max(stats.max_reward, ep.max_step_reward);
-  sum += ep.reward_sum;
-  stats.steps += ep.steps;
-  if (ep.collision) ++stats.collisions;
+/// order, so the single-env and pooled evaluators produce bitwise-identical
+/// statistics.
+RewardStats FoldEpisodes(const std::vector<parallel::EpisodeResult>& episodes) {
+  RewardStats stats;
+  stats.min_reward = std::numeric_limits<double>::infinity();
+  stats.max_reward = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  for (const parallel::EpisodeResult& ep : episodes) {
+    stats.min_reward = std::min(stats.min_reward, ep.min_step_reward);
+    stats.max_reward = std::max(stats.max_reward, ep.max_step_reward);
+    sum += ep.reward_sum;
+    stats.steps += ep.steps;
+    if (ep.collision) ++stats.collisions;
+  }
+  stats.avg_reward = stats.steps > 0 ? sum / stats.steps : 0.0;
+  return stats;
+}
+
+parallel::RolloutOptions GreedyOptions(uint64_t seed_base,
+                                       int max_steps_per_episode) {
+  HEAD_CHECK_GT(max_steps_per_episode, 0);
+  parallel::RolloutOptions opts;
+  opts.seed_base = seed_base;
+  opts.max_steps_per_episode = max_steps_per_episode;
+  return opts;
 }
 
 }  // namespace
 
 RewardStats EvaluateAgent(PamdpAgent& agent, DrivingEnv& env, int episodes,
                           uint64_t seed_base, int max_steps_per_episode) {
-  HEAD_CHECK_GT(max_steps_per_episode, 0);
-  // Evaluation is pure inference: no gradient graph should be recorded for
-  // any forward pass below.
-  const nn::NoGradGuard no_grad;
-  RewardStats stats;
-  stats.min_reward = std::numeric_limits<double>::infinity();
-  stats.max_reward = -std::numeric_limits<double>::infinity();
-  double sum = 0.0;
+  const parallel::RolloutOptions opts =
+      GreedyOptions(seed_base, max_steps_per_episode);
+  std::vector<parallel::EpisodeResult> results;
   for (int ep = 0; ep < episodes; ++ep) {
-    parallel::EnvPool::EpisodeResult result;
-    result.index = ep;
-    if (obs::RecordingEnabled()) {
-      obs::EpisodeContext ctx;
-      ctx.policy = agent.name();
-      ctx.seed = SplitMix(seed_base, 2 * static_cast<uint64_t>(ep));
-      ctx.episode_index = ep;
-      obs::BeginEpisode(ctx);
-    }
-    sim::EpisodeStatus status = sim::EpisodeStatus::kRunning;
-    Rng rng(SplitMix(seed_base, 2 * static_cast<uint64_t>(ep) + 1));
-    AugmentedState state =
-        env.Reset(SplitMix(seed_base, 2 * static_cast<uint64_t>(ep)));
-    while (result.steps < max_steps_per_episode) {
-      const AgentAction action = agent.Act(state, /*epsilon=*/0.0, rng);
-      if (obs::RecordingEnabled()) {
-        obs::ScratchRecord().rng_cursor = rng.draws();
-      }
-      const DrivingEnv::StepOutcome outcome = env.Step(action.maneuver);
-      const double r = outcome.reward.total;
-      result.reward_sum += r;
-      result.min_step_reward = std::min(result.min_step_reward, r);
-      result.max_step_reward = std::max(result.max_step_reward, r);
-      ++result.steps;
-      state = outcome.next_state;
-      status = outcome.status;
-      if (outcome.done) {
-        result.collision = outcome.status == sim::EpisodeStatus::kCollision;
-        break;
-      }
-    }
-    if (obs::RecordingEnabled()) obs::EndEpisode(sim::ToEpisodeEnd(status));
-    FoldEpisode(stats, sum, result);
+    results.push_back(parallel::RunAgentEpisode(agent, env, ep,
+                                                /*epsilon=*/0.0, opts));
   }
-  stats.avg_reward = stats.steps > 0 ? sum / stats.steps : 0.0;
-  return stats;
+  return FoldEpisodes(results);
 }
 
 RewardStats EvaluateAgent(PamdpAgent& agent, parallel::EnvPool& envs,
                           int episodes, uint64_t seed_base,
                           int max_steps_per_episode) {
-  HEAD_CHECK_GT(max_steps_per_episode, 0);
-  parallel::EnvPool::RolloutOptions opts;
-  opts.seed_base = seed_base;
-  opts.max_steps_per_episode = max_steps_per_episode;
-  const std::vector<parallel::EnvPool::EpisodeResult> results =
-      envs.RunEpisodes(agent, /*first_index=*/0, episodes, opts);
-  RewardStats stats;
-  stats.min_reward = std::numeric_limits<double>::infinity();
-  stats.max_reward = -std::numeric_limits<double>::infinity();
-  double sum = 0.0;
-  for (const parallel::EnvPool::EpisodeResult& ep : results) {
-    FoldEpisode(stats, sum, ep);
-  }
-  stats.avg_reward = stats.steps > 0 ? sum / stats.steps : 0.0;
-  return stats;
+  return FoldEpisodes(envs.RunEpisodes(
+      agent, /*first_index=*/0, episodes,
+      GreedyOptions(seed_base, max_steps_per_episode)));
 }
 
 }  // namespace head::rl

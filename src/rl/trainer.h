@@ -1,7 +1,8 @@
-// Episode-based RL training/evaluation loop (the paper trains 4,000
-// episodes with a scheduled learning rate, soft target updates, and an
-// ε-greedy exploration schedule). Produces the reward statistics of Table V
-// and the convergence/inference times of Table VI.
+// Episode-based RL training/evaluation (the paper trains 4,000 episodes with
+// a scheduled learning rate, soft target updates, and an ε-greedy
+// exploration schedule). Every episode runs through parallel::RunAgentEpisode;
+// training collects them in rounds over an EnvPool. Produces the reward
+// statistics of Table V and the convergence/inference times of Table VI.
 #ifndef HEAD_RL_TRAINER_H_
 #define HEAD_RL_TRAINER_H_
 
@@ -33,9 +34,6 @@ struct RlTrainConfig {
   /// Eq. 28 reward-term means, and the critic-loss mean over the episode's
   /// updates — export with TimeSeries::WriteCsvFile / WriteJsonFile.
   obs::TimeSeries* timeseries = nullptr;
-  /// Scenario name stamped into flight-recorder episode contexts ("" =
-  /// unnamed env). Only used while obs::RecordingEnabled().
-  std::string scenario_name;
 };
 
 struct RlTrainResult {
@@ -56,19 +54,15 @@ struct RewardStats {
   int collisions = 0;
 };
 
-RlTrainResult TrainAgent(PamdpAgent& agent, DrivingEnv& env,
-                         const RlTrainConfig& config);
-
-/// Parallel collection-round training over K = envs.size() environments:
-/// each round freezes the learner's parameters, collects K episodes
-/// concurrently across the pool (per-episode SplitMix seed streams), then
-/// drains the transitions in episode order and replays them through
-/// Remember/Update — one learning step per transition, exactly like the
-/// serial loop. Results depend on K (parameters advance once per round
-/// instead of once per episode) but NOT on the thread count: for a fixed K
-/// and seed, the episode-reward vector is bitwise identical whether the
-/// pool runs 1 thread or 16. `agent.Act` must be safe to call concurrently
-/// (pure forward pass — true of all agents in this repo).
+/// Collection-round training over K = envs.size() environments: each round
+/// freezes the learner's parameters, collects K episodes concurrently across
+/// the pool (per-episode SplitMix seed streams, parallel::RunAgentEpisode),
+/// then drains the transitions in episode order and replays them through
+/// Remember/Update — one learning step per transition. Results depend on K
+/// (parameters advance once per round) but NOT on the thread count: for a
+/// fixed K and seed, the episode-reward vector is bitwise identical whether
+/// the pool runs 1 thread or 16. `agent.Act` must be safe to call
+/// concurrently (pure forward pass — true of all agents in this repo).
 RlTrainResult TrainAgent(PamdpAgent& agent, parallel::EnvPool& envs,
                          const RlTrainConfig& config);
 
@@ -82,8 +76,8 @@ RewardStats EvaluateAgent(PamdpAgent& agent, DrivingEnv& env, int episodes,
                           uint64_t seed_base,
                           int max_steps_per_episode = 100000);
 
-/// Same statistics as the serial overload — bitwise identical for any pool
-/// size and thread count — with episodes fanned out across the env pool.
+/// Same statistics as the single-env overload — bitwise identical for any
+/// pool size and thread count — with episodes fanned out across the pool.
 RewardStats EvaluateAgent(PamdpAgent& agent, parallel::EnvPool& envs,
                           int episodes, uint64_t seed_base,
                           int max_steps_per_episode = 100000);

@@ -66,9 +66,9 @@ class FlightReplayTest : public ::testing::Test {
 
   /// Records one episode of `policy_name` on `scenario` into dir_ and
   /// returns its episode record.
-  eval::EpisodeRecord RecordEpisode(const std::string& scenario,
-                                    const std::string& policy_name,
-                                    uint64_t seed) {
+  eval::EpisodeRecord RunRecorded(const std::string& scenario,
+                                  const std::string& policy_name,
+                                  uint64_t seed) {
     obs::RecorderConfig cfg;
     cfg.dump_dir = dir_;
     obs::ConfigureRecorder(cfg);
@@ -94,7 +94,7 @@ class FlightReplayTest : public ::testing::Test {
 TEST_F(FlightReplayTest, ForcedCollisionDumpReplaysBitwise) {
   // The crash policy floors the throttle and never changes lane: it rams
   // the car ahead, so the collision trigger must produce exactly one dump.
-  const eval::EpisodeRecord rec = RecordEpisode("dense", "crash", 1234);
+  const eval::EpisodeRecord rec = RunRecorded("dense", "crash", 1234);
   ASSERT_TRUE(rec.collided);
   const std::vector<std::string> manifests = DumpManifests();
   ASSERT_EQ(manifests.size(), 1u);
@@ -122,7 +122,7 @@ TEST_F(FlightReplayTest, ForcedCollisionDumpReplaysBitwise) {
 }
 
 TEST_F(FlightReplayTest, ReplayFileMatchesInMemoryReplay) {
-  RecordEpisode("dense", "crash", 77);
+  RunRecorded("dense", "crash", 77);
   const std::vector<std::string> manifests = DumpManifests();
   ASSERT_EQ(manifests.size(), 1u);
   const eval::ReplayResult r = eval::ReplayFile(manifests[0]);
@@ -186,7 +186,7 @@ TEST_F(FlightReplayTest, TailOnlyDumpStillAlignsByStepIndex) {
 }
 
 TEST_F(FlightReplayTest, TamperedDumpIsDetected) {
-  RecordEpisode("dense", "crash", 1234);
+  RunRecorded("dense", "crash", 1234);
   const std::vector<std::string> manifests = DumpManifests();
   ASSERT_EQ(manifests.size(), 1u);
   obs::FlightDump dump;
@@ -273,7 +273,7 @@ TEST_F(FlightReplayTest, MultiThreadedEnvPoolRecordsWithoutRacing) {
 }
 
 TEST_F(FlightReplayTest, ReplayRestoresRecorderState) {
-  RecordEpisode("dense", "crash", 1234);
+  RunRecorded("dense", "crash", 1234);
   const std::vector<std::string> manifests = DumpManifests();
   ASSERT_EQ(manifests.size(), 1u);
 

@@ -116,50 +116,9 @@ TEST(TimeSeriesTest, WriteFilesRoundTrip) {
   EXPECT_FALSE(ts.WriteCsvFile("/nonexistent_dir_xyz/ts.csv"));
 }
 
-/// rl::Trainer integration: training with a timeseries sink emits one row
-/// per episode with the documented curve columns.
-TEST(TimeSeriesTest, TrainerEmitsPerEpisodeCurves) {
-  rl::EnvConfig env_config;
-  env_config.sim.road.length_m = 400.0;
-  env_config.sim.spawn.back_margin_m = 120.0;
-  env_config.sim.spawn.front_margin_m = 120.0;
-  env_config.use_prediction = false;
-  rl::DrivingEnv env(env_config, nullptr, 1);
-
-  rl::PdqnConfig agent_config;
-  agent_config.batch_size = 8;
-  agent_config.warmup_transitions = 20;
-  agent_config.update_every = 1;
-  Rng rng(7);
-  auto agent = rl::MakePDqnAgent(agent_config, rng);
-
-  TimeSeries curves;
-  rl::RlTrainConfig train;
-  train.episodes = 4;
-  train.max_steps_per_episode = 30;
-  train.seed = 5;
-  train.timeseries = &curves;
-  rl::TrainAgent(*agent, env, train);
-
-  EXPECT_EQ(curves.rows(), 4);
-  const std::vector<std::string> cols = curves.columns();
-  for (const char* expected :
-       {"episode", "reward", "epsilon", "reward.safety", "reward.efficiency",
-        "reward.comfort", "reward.impact", "critic_loss"}) {
-    bool found = false;
-    for (const std::string& c : cols) found = found || c == expected;
-    EXPECT_TRUE(found) << "missing column " << expected;
-  }
-  // Epsilon decays monotonically across the emitted rows; spot-check via
-  // JSON export (epsilon starts at 1.0 in episode 0).
-  const std::string json = curves.ToJson();
-  EXPECT_NE(json.find("\"columns\""), std::string::npos);
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
-}
-
-/// The EnvPool training overload feeds the same sink: one row per episode
-/// regardless of collection-round batching.
-TEST(TimeSeriesTest, ParallelTrainerEmitsPerEpisodeCurves) {
+/// rl::TrainAgent over `num_envs` environments with a timeseries sink emits
+/// one row per episode, with the documented curve columns.
+void ExpectPerEpisodeCurves(int num_envs) {
   rl::EnvConfig env_config;
   env_config.sim.road.length_m = 400.0;
   env_config.sim.spawn.back_margin_m = 120.0;
@@ -175,7 +134,7 @@ TEST(TimeSeriesTest, ParallelTrainerEmitsPerEpisodeCurves) {
 
   parallel::ThreadPool pool(2);
   parallel::EnvPool envs(
-      2,
+      num_envs,
       [&](int) {
         return std::make_unique<rl::DrivingEnv>(env_config, nullptr, 1);
       },
@@ -190,11 +149,27 @@ TEST(TimeSeriesTest, ParallelTrainerEmitsPerEpisodeCurves) {
   rl::TrainAgent(*agent, envs, train);
 
   EXPECT_EQ(curves.rows(), 4);
-  bool has_reward_col = false;
-  for (const std::string& c : curves.columns()) {
-    has_reward_col = has_reward_col || c == "reward";
+  const std::vector<std::string> cols = curves.columns();
+  for (const char* expected :
+       {"episode", "reward", "epsilon", "reward.safety", "reward.efficiency",
+        "reward.comfort", "reward.impact", "critic_loss"}) {
+    bool found = false;
+    for (const std::string& c : cols) found = found || c == expected;
+    EXPECT_TRUE(found) << "missing column " << expected;
   }
-  EXPECT_TRUE(has_reward_col);
+  const std::string json = curves.ToJson();
+  EXPECT_NE(json.find("\"columns\""), std::string::npos);
+  EXPECT_NE(json.find("\"rows\""), std::string::npos);
+}
+
+/// Single-environment training feeds the sink.
+TEST(TimeSeriesTest, TrainerEmitsPerEpisodeCurves) {
+  ExpectPerEpisodeCurves(1);
+}
+
+/// One row per episode regardless of collection-round batching.
+TEST(TimeSeriesTest, ParallelTrainerEmitsPerEpisodeCurves) {
+  ExpectPerEpisodeCurves(2);
 }
 
 }  // namespace

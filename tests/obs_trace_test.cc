@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/head_agent.h"
-#include "eval/trace.h"
+#include "eval/episode_runner.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -84,14 +84,14 @@ TEST_F(ObsTraceTest, HeadEpisodeEmitsWellFormedNestedTrace) {
       pred_rng);
   core::HeadAgent head(config, predictor, agent);
 
-  eval::TraceConfig trace_config;
-  trace_config.sim.road = config.road;
-  trace_config.sim.road.length_m = 150.0;
-  trace_config.sim.max_steps = 30;
+  eval::RunnerConfig runner;
+  runner.sim.road = config.road;
+  runner.sim.road.length_m = 150.0;
+  runner.sim.max_steps = 30;
 
   obs::SetTracingEnabled(true);
-  const eval::EpisodeTrace episode =
-      eval::RecordEpisode(head, trace_config, /*seed=*/7);
+  eval::EpisodeTrace episode;
+  eval::RunEpisode(head, runner, /*seed=*/7, /*episode_index=*/0, &episode);
   obs::SetTracingEnabled(false);
   ASSERT_GT(episode.steps.size(), 0u);
 
@@ -188,12 +188,12 @@ TEST_F(ObsTraceTest, EpisodeUpdatesMetricsRegistry) {
       pred_rng);
   core::HeadAgent head(config, predictor, agent);
 
-  eval::TraceConfig trace_config;
-  trace_config.sim.road = config.road;
-  trace_config.sim.road.length_m = 150.0;
-  trace_config.sim.max_steps = 20;
-  const eval::EpisodeTrace episode =
-      eval::RecordEpisode(head, trace_config, /*seed=*/11);
+  eval::RunnerConfig runner;
+  runner.sim.road = config.road;
+  runner.sim.road.length_m = 150.0;
+  runner.sim.max_steps = 20;
+  eval::EpisodeTrace episode;
+  eval::RunEpisode(head, runner, /*seed=*/11, /*episode_index=*/0, &episode);
 
   EXPECT_EQ(obs::GetCounter("sim.steps").value() - steps_before,
             static_cast<int64_t>(episode.steps.size()));

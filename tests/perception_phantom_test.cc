@@ -177,7 +177,7 @@ TEST(PhantomTest, EgoFillsMirrorSlotOfRealTarget) {
   EXPECT_DOUBLE_EQ(rear_of_front.states.back().lon_m, 500.0);
 }
 
-TEST(PhantomTest, RealNeighborsArePreferredOverPhantoms) {
+TEST(PhantomTest, ObservedNeighborsArePreferredOverPhantoms) {
   const RoadConfig road = DefaultRoad();
   const VehicleState ego{3, 500.0, 20.0};
   std::vector<sim::VehicleSnapshot> observed = {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "decision/idm_lc.h"
-#include "eval/trace.h"
+#include "eval/episode_runner.h"
 #include "sim/scenario.h"
 
 namespace head {
@@ -81,8 +81,8 @@ TEST(ScenarioTest, TrafficQueuesBehindBottleneck) {
   }
 }
 
-eval::TraceConfig SmallTraceConfig() {
-  eval::TraceConfig config;
+eval::RunnerConfig SmallRunnerConfig() {
+  eval::RunnerConfig config;
   config.sim.road.length_m = 300.0;
   config.sim.spawn.back_margin_m = 100.0;
   config.sim.spawn.front_margin_m = 100.0;
@@ -90,10 +90,11 @@ eval::TraceConfig SmallTraceConfig() {
 }
 
 TEST(TraceTest, RecordsEveryStepWithRewards) {
-  const eval::TraceConfig config = SmallTraceConfig();
+  const eval::RunnerConfig config = SmallRunnerConfig();
   decision::IdmLcPolicy policy(
       decision::RuleBasedConfig::ForRoad(config.sim.road));
-  const eval::EpisodeTrace trace = eval::RecordEpisode(policy, config, 7);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(policy, config, /*seed=*/7, /*episode_index=*/0, &trace);
   ASSERT_FALSE(trace.steps.empty());
   EXPECT_NE(trace.final_status, sim::EpisodeStatus::kRunning);
   EXPECT_EQ(trace.policy_name, "IDM-LC");
@@ -107,10 +108,11 @@ TEST(TraceTest, RecordsEveryStepWithRewards) {
 }
 
 TEST(TraceTest, CsvHasHeaderAndOneRowPerStep) {
-  const eval::TraceConfig config = SmallTraceConfig();
+  const eval::RunnerConfig config = SmallRunnerConfig();
   decision::IdmLcPolicy policy(
       decision::RuleBasedConfig::ForRoad(config.sim.road));
-  const eval::EpisodeTrace trace = eval::RecordEpisode(policy, config, 7);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(policy, config, /*seed=*/7, /*episode_index=*/0, &trace);
   std::ostringstream os;
   eval::WriteTraceCsv(trace, os);
   const std::string csv = os.str();
@@ -121,10 +123,11 @@ TEST(TraceTest, CsvHasHeaderAndOneRowPerStep) {
 }
 
 TEST(TraceTest, RenderMarksEgoOncePerFrame) {
-  const eval::TraceConfig config = SmallTraceConfig();
+  const eval::RunnerConfig config = SmallRunnerConfig();
   decision::IdmLcPolicy policy(
       decision::RuleBasedConfig::ForRoad(config.sim.road));
-  const eval::EpisodeTrace trace = eval::RecordEpisode(policy, config, 7);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(policy, config, /*seed=*/7, /*episode_index=*/0, &trace);
   const std::string frame =
       eval::RenderStep(trace.steps.front(), config.sim.road);
   size_t egos = 0;

@@ -7,8 +7,11 @@
 #      recycling — the ASan pass is what proves recycled buffers are never
 #      used after free), the parallel-layer tests, and the batched-parity
 #      test (batch-1 LST-GAT inference through the row-copy ops and the
-#      in-place small-m GEMM kernel), all pinned to
-#      HEAD_THREADS=4 so the pool actually races even on a 1-core CI box.
+#      in-place small-m GEMM kernel), and the eval/trace/core/env tests that
+#      cover the one policy/sim loop, the one agent/env loop and the shared
+#      perception chain, all pinned to HEAD_THREADS=4 so the pool actually
+#      races even on a 1-core CI box. UBSan findings are fatal
+#      (-fno-sanitize-recover=undefined), so a report fails the stage.
 #   2. Perf smoke stage: optimized build of bench/training_throughput (a few
 #      seconds at the fast profile), gated against the checked-in baseline —
 #      fails if batched training or pooled-rollout throughput regresses more
@@ -59,7 +62,8 @@ SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            obs_profiler_test flight_replay_test sim_simulation_test
            sim_models_test nn_batched_ops_test nn_arena_test nn_simd_test
            parallel_test parallel_determinism_test serve_test
-           batched_parity_test)
+           batched_parity_test eval_test scenario_trace_test core_test
+           rl_env_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
   BUILD_DIR="build-${SANITIZER}san"

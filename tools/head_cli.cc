@@ -37,7 +37,6 @@
 #include "eval/episode_runner.h"
 #include "eval/replay.h"
 #include "eval/table.h"
-#include "eval/trace.h"
 #include "nn/kernels/simd.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -101,13 +100,14 @@ int CmdRun(int argc, char** argv) {
 
 int CmdTrace(int argc, char** argv) {
   if (argc < 5) return Usage();
-  eval::TraceConfig config;
-  config.sim = sim::ScenarioByName(argv[2]);
-  auto policy = eval::MakeNamedPolicy(argv[3], config.sim.road);
+  eval::RunnerConfig runner;
+  runner.sim = sim::ScenarioByName(argv[2]);
+  runner.scenario_name = argv[2];
+  auto policy = eval::MakeNamedPolicy(argv[3], runner.sim.road);
   if (policy == nullptr) return Usage();
   const uint64_t seed = argc > 5 ? std::atoll(argv[5]) : 7;
-  const eval::EpisodeTrace trace =
-      eval::RecordEpisode(*policy, config, seed);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(*policy, runner, seed, /*episode_index=*/0, &trace);
   std::ofstream os(argv[4]);
   if (!os.good()) {
     std::fprintf(stderr, "cannot open %s for writing\n", argv[4]);
@@ -121,16 +121,18 @@ int CmdTrace(int argc, char** argv) {
 
 int CmdRender(int argc, char** argv) {
   if (argc < 3) return Usage();
-  eval::TraceConfig config;
-  config.sim = sim::ScenarioByName(argv[2]);
+  eval::RunnerConfig runner;
+  runner.sim = sim::ScenarioByName(argv[2]);
+  runner.scenario_name = argv[2];
   decision::IdmLcPolicy policy(
-      decision::RuleBasedConfig::ForRoad(config.sim.road));
+      decision::RuleBasedConfig::ForRoad(runner.sim.road));
   const uint64_t seed = argc > 3 ? std::atoll(argv[3]) : 7;
-  const eval::EpisodeTrace trace = eval::RecordEpisode(policy, config, seed);
+  eval::EpisodeTrace trace;
+  eval::RunEpisode(policy, runner, seed, /*episode_index=*/0, &trace);
   const size_t n = trace.steps.size();
   for (size_t k = 0; k < 5 && n > 0; ++k) {
     const size_t idx = std::min(n - 1, k * (n / 5 + 1));
-    std::cout << eval::RenderStep(trace.steps[idx], config.sim.road) << "\n";
+    std::cout << eval::RenderStep(trace.steps[idx], runner.sim.road) << "\n";
   }
   return 0;
 }
