@@ -1,23 +1,19 @@
-// Overhead of the permanent sim-loop instrumentation (ISSUE 1 acceptance):
-// with tracing disabled, the instrumented sim::Simulation::Step must cost
-// < 5% over the uninstrumented seed. BM_DisabledSpan measures the raw
-// HEAD_SPAN disabled path (a relaxed atomic load — low single-digit ns);
-// BM_SimStep_TracingOff vs BM_SimStep_TracingOn bounds the full-step cost
-// in both modes on a realistic fleet.
+// Overhead of the permanent instrumentation. HEAD_SPAN and HEAD_PROF_OP are
+// one obs::Scope whose disabled path (tracing and profiling off, no
+// histogram) is a single relaxed load: BM_DisabledSpan and
+// BM_DisabledOpScope must stay in the low-single-digit-ns noise band, since
+// HEAD_PROF_OP lives inside every kernel entry point and autograd node.
+// BM_EnabledSpan prices a traced span, BM_EnabledOpScope a profiled op (two
+// clock reads + relaxed adds into the per-thread table); the
+// BM_SimStep_Tracing{Off,On} and BM_EnvStep_Profiling{Off,On} pairs bound
+// the full step cost both ways on a realistic fleet.
 //
 // The flight-recorder rows bound the black box the same way: the disabled
-// gate (BM_DisabledRecorderGate) must sit in the same low-single-digit-ns
-// noise band as BM_DisabledSpan, a full scratch-fill + ring commit
-// (BM_RecorderCommit) is a struct copy with no allocation, and
-// BM_SimStep_RecordingOff/_RecordingOn bound the end-to-end step cost. The
-// timeseries rows cost out the per-episode curve sink.
-//
-// The op-profiler rows (ISSUE 8 acceptance): BM_DisabledOpScope must sit in
-// the BM_DisabledSpan noise band (≲1 ns — one relaxed load), since
-// HEAD_PROF_OP lives permanently inside every kernel entry point and
-// autograd node; BM_EnabledOpScope prices the enabled record path (two clock
-// reads + relaxed adds into the per-thread table); the
-// BM_EnvStep_Profiling{Off,On} pair bounds the full env-step cost both ways.
+// gate (BM_DisabledRecorderGate) must sit in the same noise band as
+// BM_DisabledSpan, a full scratch-fill + ring commit (BM_RecorderCommit) is
+// a struct copy with no allocation, and BM_SimStep_RecordingOff/_RecordingOn
+// bound the end-to-end step cost. The timeseries rows cost out the
+// per-episode curve sink.
 #include <benchmark/benchmark.h>
 
 #include "obs/metrics.h"
@@ -205,7 +201,7 @@ void BM_SimStep_RecordingOn(benchmark::State& state) {
 BENCHMARK(BM_SimStep_RecordingOn);
 
 /// Full env step (sim + sensor + phantom + st-graph, no predictor) — the
-/// densest permanent HEAD_PROF_OP instrumentation outside nn itself.
+/// densest permanent span instrumentation outside nn itself.
 void EnvStepLoop(benchmark::State& state) {
   rl::EnvConfig config;
   config.sim.road.length_m = 800.0;

@@ -11,6 +11,7 @@ HeadAgent::HeadAgent(const HeadConfig& config,
                      std::shared_ptr<const perception::StatePredictor> predictor,
                      std::shared_ptr<rl::PamdpAgent> agent)
     : config_(config),
+      reward_(config.TrainingReward()),
       predictor_(std::move(predictor)),
       agent_(std::move(agent)),
       perception_(config.road, config.sensor.range_m, config.scale,
@@ -33,17 +34,13 @@ rl::AugmentedState HeadAgent::Perceive(const decision::EgoView& view) {
 }
 
 Maneuver HeadAgent::Decide(const decision::EgoView& view) {
-  HEAD_SPAN("agent.act");
   static obs::Histogram& latency = obs::LatencyHistogram("agent.act");
   static obs::Counter& decisions = obs::GetCounter("agent.decisions");
-  obs::ScopedTimer timer(latency);
+  HEAD_SPAN("agent.act", latency);
   decisions.Add();
   last_state_ = Perceive(view);
-  rl::AgentAction action;
-  {
-    HEAD_SPAN("rl.act");
-    action = agent_->Act(last_state_, /*epsilon=*/0.0, act_rng_);
-  }
+  const rl::AgentAction action =
+      agent_->Act(last_state_, /*epsilon=*/0.0, act_rng_);
   if (obs::RecordingEnabled()) {
     obs::ScratchRecord().rng_cursor = act_rng_.draws();
   }

@@ -29,6 +29,7 @@ class HeadAgent : public decision::Policy {
   std::string name() const override;
   void OnEpisodeStart() override;
   Maneuver Decide(const decision::EgoView& view) override;
+  const rl::RewardConfig* reward_config() const override { return &reward_; }
 
   /// The augmented state the agent saw at the last Decide() call.
   const rl::AugmentedState& last_state() const { return last_state_; }
@@ -43,6 +44,7 @@ class HeadAgent : public decision::Policy {
 
  private:
   HeadConfig config_;
+  rl::RewardConfig reward_;  ///< config_.TrainingReward()
   std::shared_ptr<const perception::StatePredictor> predictor_;
   std::shared_ptr<rl::PamdpAgent> agent_;
   rl::PerceptionChain perception_;

@@ -12,14 +12,19 @@ const char* HeadVariant::Name() const {
   return "HEAD-w/o-IMP";
 }
 
+rl::RewardConfig HeadConfig::TrainingReward() const {
+  rl::RewardConfig training = reward;
+  training.use_impact = variant.use_impact_reward;
+  return training;
+}
+
 rl::EnvConfig HeadConfig::MakeEnvConfig(const sim::SimConfig& sim) const {
   rl::EnvConfig env;
   env.sim = sim;
   env.sim.road = road;
   env.sensor = sensor;
   env.scale = scale;
-  env.reward = reward;
-  env.reward.use_impact = variant.use_impact_reward;
+  env.reward = TrainingReward();
   env.history_z = history_z;
   env.use_pvc = variant.use_pvc;
   env.use_prediction = variant.use_lst_gat;

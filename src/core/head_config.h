@@ -35,6 +35,10 @@ struct HeadConfig {
   int history_z = 5;
   HeadVariant variant;
 
+  /// The reward the agent trains under: `reward` with the variant's impact
+  /// switch applied.
+  rl::RewardConfig TrainingReward() const;
+
   /// Environment config consistent with this HEAD configuration.
   rl::EnvConfig MakeEnvConfig(const sim::SimConfig& sim) const;
 };

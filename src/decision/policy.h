@@ -10,6 +10,10 @@
 #include "common/types.h"
 #include "sim/road.h"
 
+namespace head::rl {
+struct RewardConfig;
+}  // namespace head::rl
+
 namespace head::decision {
 
 /// What the ego knows at a time step: its own state plus the sensor-filtered
@@ -30,6 +34,10 @@ class Policy {
   virtual void OnEpisodeStart() {}
 
   virtual Maneuver Decide(const EgoView& view) = 0;
+
+  /// The Eq. 28 reward this policy was trained under, which the evaluation
+  /// runner scores its steps with; nullptr means rl::RewardConfig{}.
+  virtual const rl::RewardConfig* reward_config() const { return nullptr; }
 };
 
 }  // namespace head::decision

@@ -42,9 +42,14 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
   }
 
   sim::Simulation sim(config.sim, seed);
-  // The Eq. 28 reward the training env would have given each step; baseline
-  // policies compute none themselves. Feeds traces and flight-recorder dumps.
-  const rl::RewardFunction reward_fn(rl::RewardConfig{}, config.sim.road);
+  // The Eq. 28 reward the policy's training env would have given each step;
+  // baseline policies compute none themselves. Feeds traces and dumps.
+  const rl::RewardConfig* trained_reward = policy.reward_config();
+  const rl::RewardFunction reward_fn(
+      trained_reward != nullptr ? *trained_reward : rl::RewardConfig{},
+      config.sim.road);
+  // Rear conventional vehicle (for #-CA / D-CA and Eq. 30) before each step.
+  std::optional<sim::VehicleSnapshot> rear = rl::RearVehicle(sim);
   policy.OnEpisodeStart();
 
   EpisodeRecord rec;
@@ -60,8 +65,6 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
   while (sim.status() == sim::EpisodeStatus::kRunning) {
     HEAD_SPAN("episode.step");
     const VehicleState ego_before = sim.ego_state();
-    // Rear conventional vehicle (for #-CA / D-CA and Eq. 30) before the step.
-    const std::optional<sim::VehicleSnapshot> rear = rl::RearVehicle(sim);
 
     // The policy only sees the sensor output.
     decision::EgoView view;
@@ -76,7 +79,7 @@ EpisodeRecord RunEpisode(decision::Policy& policy, const RunnerConfig& config,
 
     const VehicleState ego_after = sim.ego_state();
     const rl::RewardObservation robs = rl::ObserveTransition(
-        sim, rear, maneuver.accel_mps2, prev_accel);
+        sim, &rear, maneuver.accel_mps2, prev_accel);
     // The scratch already holds perception + decision fills from
     // policy.Decide and the ego outcome from sim.Step; Compute adds the
     // reward decomposition, then the record is sealed.

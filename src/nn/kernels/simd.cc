@@ -16,8 +16,6 @@
 #include <cstring>
 #include <vector>
 
-#include <chrono>
-
 #include "nn/kernels/kernel_table.h"
 #include "obs/profiler.h"
 #include "parallel/thread_pool.h"
@@ -309,16 +307,6 @@ void AdamStep(int n, double lr, double beta1, double beta2, double eps,
                                 value);
 }
 
-namespace {
-
-uint64_t CalNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 double MeasurePeakGemmGflops() {
   constexpr int kDim = 64;  // 3 × 32 KB: resident in L2, streams through L1
   std::vector<double> a(kDim * kDim), b(kDim * kDim), c(kDim * kDim, 0.0);
@@ -332,12 +320,12 @@ double MeasurePeakGemmGflops() {
   double best = 0.0;
   constexpr int kTrials = 8, kReps = 16;
   for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t t0 = CalNowNs();
+    const uint64_t t0 = obs::internal::NowNs();
     for (int rep = 0; rep < kReps; ++rep) {
       GemmNN(kDim, kDim, kDim, a.data(), b.data(), nullptr, GemmInit::kZero,
              c.data());
     }
-    const uint64_t t1 = CalNowNs();
+    const uint64_t t1 = obs::internal::NowNs();
     if (t1 > t0) {
       best = std::max(
           best, static_cast<double>(flops) * kReps / static_cast<double>(t1 - t0));

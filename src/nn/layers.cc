@@ -1,7 +1,7 @@
 #include "nn/layers.h"
 
 #include "common/check.h"
-#include "obs/profiler.h"
+#include "obs/span.h"
 
 namespace head::nn {
 
@@ -27,7 +27,7 @@ void Module::CopyParamsFrom(const Module& other) {
 }
 
 void Module::SoftUpdateFrom(const Module& source, double tau) {
-  HEAD_PROF_SCOPE("nn.SoftUpdate");
+  HEAD_SPAN("nn.SoftUpdate");
   std::vector<Var> dst = Params();
   std::vector<Var> src = source.Params();
   HEAD_CHECK_EQ(dst.size(), src.size());

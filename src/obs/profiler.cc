@@ -58,6 +58,7 @@ struct Slot {
   std::atomic<int> m{0}, n{0}, k{0};
   std::atomic<uint8_t> phase{0};
   std::atomic<int64_t> count{0};
+  std::atomic<int64_t> root_count{0};
   std::atomic<int64_t> flops{0};
   std::atomic<int64_t> bytes{0};
   std::atomic<uint64_t> total_ns{0};
@@ -97,13 +98,8 @@ std::atomic<uint64_t> g_last_sample_ns{0};
 constexpr uint64_t kSampleIntervalNs = 500'000;  // 2 kHz cap
 constexpr size_t kMaxSamples = 1 << 16;
 
-struct CounterSample {
-  uint64_t ts_ns;
-  int64_t cum_flops;
-  int64_t cum_bytes;
-};
 std::mutex g_samples_mu;
-std::vector<CounterSample> g_samples;
+std::vector<prof_internal::CounterSample> g_samples;
 
 std::mutex g_peaks_mu;
 RooflinePeaks g_peaks;  // source stays "uncalibrated" until set/measured
@@ -185,6 +181,7 @@ void AtomicMax(std::atomic<uint64_t>& a, uint64_t v) {
 
 void ZeroSlotStats(Slot& slot) {
   slot.count.store(0, std::memory_order_relaxed);
+  slot.root_count.store(0, std::memory_order_relaxed);
   slot.flops.store(0, std::memory_order_relaxed);
   slot.bytes.store(0, std::memory_order_relaxed);
   slot.total_ns.store(0, std::memory_order_relaxed);
@@ -233,9 +230,7 @@ const char* PhaseTag(ProfPhase phase) {
 
 namespace prof_internal {
 
-std::atomic<bool> g_profiling_enabled{false};
 thread_local ProfPhase t_phase = ProfPhase::kForward;
-thread_local uint64_t* t_child_acc = nullptr;
 
 void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
               uint64_t total_ns, uint64_t self_ns, int64_t flops,
@@ -252,6 +247,7 @@ void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
     return;
   }
   slot->count.fetch_add(1, std::memory_order_relaxed);
+  if (is_root) slot->root_count.fetch_add(1, std::memory_order_relaxed);
   slot->flops.fetch_add(flops, std::memory_order_relaxed);
   slot->bytes.fetch_add(bytes, std::memory_order_relaxed);
   slot->total_ns.fetch_add(total_ns, std::memory_order_relaxed);
@@ -262,31 +258,12 @@ void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
   MaybeSampleCounters(flops, bytes);
 }
 
+std::vector<CounterSample> CounterSamples() {
+  std::lock_guard<std::mutex> lock(g_samples_mu);
+  return g_samples;
+}
+
 }  // namespace prof_internal
-
-void OpScope::Begin(const char* op, int m, int n, int k, int64_t flops,
-                    int64_t bytes) {
-  op_ = op;
-  m_ = m;
-  n_ = n;
-  k_ = k;
-  flops_ = flops;
-  bytes_ = bytes;
-  phase_ = prof_internal::t_phase;
-  child_ns_ = 0;
-  parent_child_ = prof_internal::t_child_acc;
-  prof_internal::t_child_acc = &child_ns_;
-  start_ns_ = internal::NowNs();
-}
-
-void OpScope::End() {
-  const uint64_t total = internal::NowNs() - start_ns_;
-  prof_internal::t_child_acc = parent_child_;
-  if (parent_child_ != nullptr) *parent_child_ += total;
-  const uint64_t self = total > child_ns_ ? total - child_ns_ : 0;
-  prof_internal::RecordOp(op_, phase_, m_, n_, k_, total, self, flops_,
-                          bytes_, /*is_root=*/parent_child_ == nullptr);
-}
 
 void StartProfiling(const ProfilerOptions& options) {
   ResetAllStats();
@@ -298,11 +275,11 @@ void StartProfiling(const ProfilerOptions& options) {
   GetShard();
   g_session_start_ns.store(internal::NowNs(), std::memory_order_relaxed);
   g_session_end_ns.store(0, std::memory_order_relaxed);
-  prof_internal::g_profiling_enabled.store(true, std::memory_order_relaxed);
+  internal::SetSink(internal::kProfileSink, true);
 }
 
 void StopProfiling() {
-  prof_internal::g_profiling_enabled.store(false, std::memory_order_relaxed);
+  internal::SetSink(internal::kProfileSink, false);
   g_session_end_ns.store(internal::NowNs(), std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(g_shards_mu);
   for (auto& shard : Shards()) shard->hw.Disable();
@@ -451,6 +428,7 @@ ProfileReport CollectProfile() {
         s.min_ns = UINT64_MAX;
       }
       s.count += count;
+      s.root_count += slot.root_count.load(std::memory_order_relaxed);
       s.total_ns += slot.total_ns.load(std::memory_order_relaxed);
       s.self_ns += slot.self_ns.load(std::memory_order_relaxed);
       s.flops += slot.flops.load(std::memory_order_relaxed);
@@ -625,64 +603,6 @@ bool WriteProfileJsonFile(const std::string& path) {
   std::ofstream os(path);
   if (!os.good()) return false;
   os << ProfileToJson(CollectProfile());
-  return os.good();
-}
-
-namespace {
-
-std::string NsAsUs(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  return buf;
-}
-
-}  // namespace
-
-bool WriteChromeTraceWithCountersFile(const std::string& path) {
-  std::ofstream os(path);
-  if (!os.good()) return false;
-  const std::vector<TraceEvent> events = DrainTraceEvents();
-  std::vector<CounterSample> samples;
-  {
-    std::lock_guard<std::mutex> lock(g_samples_mu);
-    samples = g_samples;
-  }
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : events) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << e.name << "\",\"cat\":\"head\",\"ph\":\"X\""
-       << ",\"pid\":0,\"tid\":" << e.tid << ",\"ts\":" << NsAsUs(e.start_ns)
-       << ",\"dur\":" << NsAsUs(e.dur_ns)
-       << ",\"args\":{\"depth\":" << e.depth << "}}";
-  }
-  // Rate tracks: each sample pair yields an interval-average GFLOP/s and
-  // GB/s counter value stamped at the interval end.
-  char buf[256];
-  for (size_t i = 1; i < samples.size(); ++i) {
-    const CounterSample& a = samples[i - 1];
-    const CounterSample& b = samples[i];
-    if (b.ts_ns <= a.ts_ns) continue;
-    const double dt = static_cast<double>(b.ts_ns - a.ts_ns);
-    const double gflops = static_cast<double>(b.cum_flops - a.cum_flops) / dt;
-    const double gbps = static_cast<double>(b.cum_bytes - a.cum_bytes) / dt;
-    if (!first) os << ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"achieved GFLOP/s\",\"cat\":\"head\",\"ph\":\"C\""
-                  ",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"gflops\":%.3f}}",
-                  NsAsUs(b.ts_ns).c_str(), gflops);
-    os << buf << ",";
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"moved GB/s\",\"cat\":\"head\",\"ph\":\"C\""
-                  ",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"gbps\":%.3f}}",
-                  NsAsUs(b.ts_ns).c_str(), gbps);
-    os << buf;
-  }
-  os << "]}\n";
   return os.good();
 }
 

@@ -9,21 +9,21 @@
 //   std::cout << obs::ProfileToText(r, /*top_n=*/10);
 //   obs::WriteProfileJsonFile("prof.json");   // tools/profile_diff.py input
 //
-// Instrumentation is the HEAD_SPAN idiom: an RAII OpScope whose constructor
-// is one relaxed atomic load when profiling is disabled (≲1 ns — cheap
-// enough for permanent residence inside every kernel entry point and
-// autograd node). Enabled, a scope costs two clock reads plus ~a dozen
-// relaxed atomic adds into a per-thread open-addressed stats table, so the
-// aggregation itself never locks, allocates, or contends across threads.
+// Instrumentation is the one obs::Scope (obs/span.h): every HEAD_SPAN
+// reports a row under its name, and HEAD_PROF_OP sits inside every kernel
+// entry point and autograd node. Disabled, a scope is one relaxed atomic
+// load (≲1 ns); profiled, two clock reads plus ~a dozen relaxed atomic adds
+// into a per-thread open-addressed stats table, so the aggregation itself
+// never locks, allocates, or contends across threads.
 //
 // Attribution model — scopes nest on their thread:
 //   * total time: wall ns between a scope's open and close;
 //   * self time:  total minus the total of directly nested scopes — the
 //     sorted report ranks by self so nothing is double-counted;
 //   * roots:      scopes with no profiled parent (rl.update, the perception
-//     train step, env.step). coverage = 1 − root_self / root_total is the
-//     fraction of step wall time attributed to finer-grained ops — the
-//     ≥95% target of ISSUE 8.
+//     train epoch, env.step). coverage = 1 − root_self / root_total is the
+//     fraction of step wall time attributed to finer-grained scopes — the
+//     ≥95% target of the profile gate;
 //   * phase:      forward by default; nn::Backward flips a thread-local so
 //     the same GEMM shape reports separately for fwd and bwd.
 //
@@ -47,24 +47,30 @@
 #include <string>
 #include <vector>
 
-#include "obs/span.h"  // NowNs + HEAD_OBS_CONCAT
+#include "obs/span.h"  // Scope, ProfPhase, NowNs
 
 namespace head::obs {
 
-enum class ProfPhase : uint8_t { kForward = 0, kBackward = 1 };
-
 namespace prof_internal {
-extern std::atomic<bool> g_profiling_enabled;
 extern thread_local ProfPhase t_phase;
-extern thread_local uint64_t* t_child_acc;
 
 void RecordOp(const char* op, ProfPhase phase, int m, int n, int k,
               uint64_t total_ns, uint64_t self_ns, int64_t flops,
               int64_t bytes, bool is_root);
+
+/// One sample of the session's cumulative flop/byte counters.
+struct CounterSample {
+  uint64_t ts_ns;
+  int64_t cum_flops;
+  int64_t cum_bytes;
+};
+/// The samples taken since the last StartProfiling/ResetProfile.
+std::vector<CounterSample> CounterSamples();
 }  // namespace prof_internal
 
 inline bool ProfilingEnabled() {
-  return prof_internal::g_profiling_enabled.load(std::memory_order_relaxed);
+  return (internal::g_scope_sinks.load(std::memory_order_relaxed) &
+          internal::kProfileSink) != 0;
 }
 
 struct ProfilerOptions {
@@ -81,41 +87,6 @@ void StartProfiling(const ProfilerOptions& options = {});
 void StopProfiling();
 /// Zeroes all accumulated stats without toggling the gate.
 void ResetProfile();
-
-/// RAII attribution scope. With profiling disabled the constructor is a
-/// single relaxed load; enabled it participates in the self-time/root
-/// accounting described above.
-class OpScope {
- public:
-  OpScope(const char* op, int m, int n, int k, int64_t flops, int64_t bytes) {
-    if (!ProfilingEnabled()) return;
-    Begin(op, m, n, k, flops, bytes);
-  }
-  /// Shapeless region scope (rl.update, env.step, …).
-  explicit OpScope(const char* op) : OpScope(op, 0, 0, 0, 0, 0) {}
-  ~OpScope() {
-    if (op_ != nullptr) End();
-  }
-
-  OpScope(const OpScope&) = delete;
-  OpScope& operator=(const OpScope&) = delete;
-
- private:
-  void Begin(const char* op, int m, int n, int k, int64_t flops,
-             int64_t bytes);
-  void End();
-
-  // Only op_ is initialized on the disabled path (the destructor's gate);
-  // Begin fills everything else, keeping the disabled constructor at one
-  // relaxed load + one store.
-  const char* op_ = nullptr;
-  int m_, n_, k_;
-  int64_t flops_, bytes_;
-  ProfPhase phase_;
-  uint64_t start_ns_;
-  uint64_t child_ns_;      // filled by directly nested scopes
-  uint64_t* parent_child_;  // nullptr ⇒ this scope is a root
-};
 
 /// Marks the current thread as running the given phase for its scope
 /// (nn::Backward wraps itself in kBackward).
@@ -140,6 +111,7 @@ struct OpStats {
   ProfPhase phase = ProfPhase::kForward;
   int m = 0, n = 0, k = 0;  ///< shape key; (count,1,1)-style for elementwise
   int64_t count = 0;
+  int64_t root_count = 0;  ///< calls with no profiled parent on their thread
   uint64_t total_ns = 0;
   uint64_t self_ns = 0;
   uint64_t min_ns = 0;
@@ -222,20 +194,11 @@ std::string ProfileToJson(const ProfileReport& report);
 /// CollectProfile() → ProfileToJson → `path`; false on I/O error.
 bool WriteProfileJsonFile(const std::string& path);
 
-/// Like WriteChromeTraceFile, but merges the drained spans with the
-/// profiler's GFLOP/s / GB/s counter tracks ("ph":"C") sampled during the
-/// session, so Perfetto shows achieved throughput under the span rows.
-bool WriteChromeTraceWithCountersFile(const std::string& path);
-
 }  // namespace head::obs
 
-/// Shaped profiled op (kernels, autograd nodes).
-#define HEAD_PROF_OP(op, m, n, k, flops, bytes)      \
-  ::head::obs::OpScope HEAD_OBS_CONCAT(head_prof_, __LINE__)( \
+/// Shaped profiled op (kernels, autograd nodes); never traced.
+#define HEAD_PROF_OP(op, m, n, k, flops, bytes)               \
+  ::head::obs::Scope HEAD_OBS_CONCAT(head_prof_, __LINE__)( \
       op, m, n, k, flops, bytes)
-
-/// Shapeless profiled region (step roots, phases).
-#define HEAD_PROF_SCOPE(op) \
-  ::head::obs::OpScope HEAD_OBS_CONCAT(head_prof_, __LINE__)(op)
 
 #endif  // HEAD_OBS_PROFILER_H_

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace head::obs {
 
@@ -24,19 +25,28 @@ constexpr size_t kMaxEvents = 1 << 21;  // ~2M spans ≈ 80 MB
 
 std::atomic<uint32_t> g_next_tid{0};
 
-uint32_t ThisThreadId() {
-  thread_local const uint32_t tid =
-      g_next_tid.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
+// Small sequential per-thread id, taken on the thread's first traced span.
+thread_local const uint32_t t_tid =
+    g_next_tid.fetch_add(1, std::memory_order_relaxed);
 
-thread_local int t_depth = 0;
+thread_local int t_depth = 0;  // open traced scopes on this thread
+// Child-time accumulator of the innermost open profiled scope.
+thread_local uint64_t* t_child_acc = nullptr;
 
 }  // namespace
 
 namespace internal {
 
-std::atomic<bool> g_tracing_enabled{false};
+std::atomic<uint8_t> g_scope_sinks{0};
+
+void SetSink(uint8_t sink, bool on) {
+  if (on) {
+    g_scope_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    g_scope_sinks.fetch_and(static_cast<uint8_t>(~sink),
+                            std::memory_order_relaxed);
+  }
+}
 
 uint64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -44,24 +54,49 @@ uint64_t NowNs() {
       .count();
 }
 
-int SpanBegin() { return t_depth++; }
-
-void SpanEnd(const char* name, uint64_t start_ns, int depth) {
-  const uint64_t end_ns = NowNs();
-  --t_depth;
-  std::lock_guard<std::mutex> lock(g_events_mu);
-  if (g_events.size() >= kMaxEvents) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  g_events.push_back(
-      {name, ThisThreadId(), depth, start_ns, end_ns - start_ns});
-}
-
 }  // namespace internal
 
+void Scope::Begin(const char* name, int m, int n, int k, int64_t flops,
+                  int64_t bytes) {
+  name_ = name;
+  if (sinks_ & internal::kProfileSink) {
+    m_ = m;
+    n_ = n;
+    k_ = k;
+    flops_ = flops;
+    bytes_ = bytes;
+    phase_ = prof_internal::t_phase;
+    child_ns_ = 0;
+    parent_child_ = t_child_acc;
+    t_child_acc = &child_ns_;
+  }
+  if (sinks_ & internal::kTraceSink) depth_ = t_depth++;
+  start_ns_ = internal::NowNs();
+}
+
+void Scope::End() {
+  const uint64_t total = internal::NowNs() - start_ns_;
+  if (sinks_ & internal::kHistogramSink) hist_->Observe(total * 1e-9);
+  if (sinks_ & internal::kTraceSink) {
+    --t_depth;
+    std::lock_guard<std::mutex> lock(g_events_mu);
+    if (g_events.size() < kMaxEvents) {
+      g_events.push_back({name_, t_tid, depth_, start_ns_, total});
+    } else {
+      g_dropped.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (sinks_ & internal::kProfileSink) {
+    t_child_acc = parent_child_;
+    if (parent_child_ != nullptr) *parent_child_ += total;
+    const uint64_t self = total > child_ns_ ? total - child_ns_ : 0;
+    prof_internal::RecordOp(name_, phase_, m_, n_, k_, total, self, flops_,
+                            bytes_, /*is_root=*/parent_child_ == nullptr);
+  }
+}
+
 void SetTracingEnabled(bool enabled) {
-  internal::g_tracing_enabled.store(enabled, std::memory_order_relaxed);
+  internal::SetSink(internal::kTraceSink, enabled);
 }
 
 std::vector<TraceEvent> DrainTraceEvents() {
@@ -101,6 +136,31 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events,
        << ",\"dur\":" << NsAsUs(e.dur_ns)
        << ",\"args\":{\"depth\":" << e.depth << "}}";
   }
+  // Rate tracks: each pair of profiler samples yields an interval-average
+  // GFLOP/s and GB/s counter value stamped at the interval end.
+  const std::vector<prof_internal::CounterSample> samples =
+      prof_internal::CounterSamples();
+  char buf[256];
+  for (size_t i = 1; i < samples.size(); ++i) {
+    const prof_internal::CounterSample& a = samples[i - 1];
+    const prof_internal::CounterSample& b = samples[i];
+    if (b.ts_ns <= a.ts_ns) continue;
+    const double dt = static_cast<double>(b.ts_ns - a.ts_ns);
+    const double gflops = static_cast<double>(b.cum_flops - a.cum_flops) / dt;
+    const double gbps = static_cast<double>(b.cum_bytes - a.cum_bytes) / dt;
+    if (!first) os << ",";
+    first = false;
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"achieved GFLOP/s\",\"cat\":\"head\",\"ph\":\"C\""
+                  ",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"gflops\":%.3f}}",
+                  NsAsUs(b.ts_ns).c_str(), gflops);
+    os << buf << ",";
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"moved GB/s\",\"cat\":\"head\",\"ph\":\"C\""
+                  ",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"gbps\":%.3f}}",
+                  NsAsUs(b.ts_ns).c_str(), gbps);
+    os << buf;
+  }
   os << "]}\n";
 }
 
@@ -109,10 +169,6 @@ bool WriteChromeTraceFile(const std::string& path) {
   if (!os.good()) return false;
   WriteChromeTrace(DrainTraceEvents(), os);
   return os.good();
-}
-
-ScopedTimer::~ScopedTimer() {
-  hist_.Observe((internal::NowNs() - start_ns_) * 1e-9);
 }
 
 }  // namespace head::obs

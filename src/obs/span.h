@@ -1,13 +1,16 @@
-// RAII scoped trace spans with Chrome trace-event export.
+// The one instrumentation scope, with Chrome trace-event export.
 //
 //   obs::SetTracingEnabled(true);
-//   { HEAD_SPAN("sim.step"); ...work... }   // nested spans nest in the trace
+//   { HEAD_SPAN("sim.step", latency); ...work... }  // nested scopes nest
 //   obs::WriteChromeTraceFile("trace.json");
 //
-// The resulting JSON loads directly in chrome://tracing or Perfetto. Spans
-// record begin timestamp, duration, thread, and nesting depth. With tracing
-// disabled (the default) HEAD_SPAN costs one relaxed atomic load — a few
-// nanoseconds — so instrumentation can stay in the hot paths permanently.
+// A HEAD_SPAN scope reads one clock pair and feeds three sinks: a row of the
+// op profiler (obs/profiler.h) while profiling is on, a TraceEvent (start,
+// duration, thread, nesting depth) while tracing is on, and its latency
+// histogram, when one is given, always. HEAD_PROF_OP is the same scope for
+// kernels and autograd nodes, profiler-only so they do not flood the trace.
+// With profiling and tracing off and no histogram a scope costs one relaxed
+// atomic load — a few nanoseconds — so it stays in the hot paths for good.
 #ifndef HEAD_OBS_SPAN_H_
 #define HEAD_OBS_SPAN_H_
 
@@ -19,19 +22,25 @@
 
 namespace head::obs {
 
+class Histogram;
+
+/// Which pass a profiled scope belongs to (nn::Backward flips it).
+enum class ProfPhase : uint8_t { kForward = 0, kBackward = 1 };
+
 namespace internal {
-extern std::atomic<bool> g_tracing_enabled;
+inline constexpr uint8_t kProfileSink = 1;
+inline constexpr uint8_t kTraceSink = 2;
+inline constexpr uint8_t kHistogramSink = 4;
+/// The runtime sinks switched on (kProfileSink | kTraceSink): the one
+/// disabled-path gate of every scope.
+extern std::atomic<uint8_t> g_scope_sinks;
+void SetSink(uint8_t sink, bool on);
 
 uint64_t NowNs();
-int SpanBegin();                                 ///< returns depth; bumps it
-void SpanEnd(const char* name, uint64_t start_ns, int depth);
 }  // namespace internal
 
-/// Runtime switch; spans started while disabled record nothing.
+/// Runtime switch; scopes opened while disabled record no trace event.
 void SetTracingEnabled(bool enabled);
-inline bool TracingEnabled() {
-  return internal::g_tracing_enabled.load(std::memory_order_relaxed);
-}
 
 /// One completed span. Depth is the nesting level on its thread (0 = root).
 struct TraceEvent {
@@ -49,48 +58,58 @@ std::vector<TraceEvent> DrainTraceEvents();
 int64_t DroppedTraceEvents();
 
 /// Chrome trace-event JSON ({"traceEvents":[...]}, "ph":"X" complete events,
-/// microsecond timestamps).
+/// microsecond timestamps), followed by the profiler's achieved GFLOP/s and
+/// GB/s counter tracks ("ph":"C") when its last session sampled any.
 void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os);
 
 /// Drains all recorded spans and writes them to `path`; false on I/O error.
 bool WriteChromeTraceFile(const std::string& path);
 
-class ScopedSpan {
+/// RAII scope behind HEAD_SPAN and HEAD_PROF_OP. The sinks are fixed when
+/// the scope opens; a disabled scope only stores an empty sink set.
+class Scope {
  public:
-  explicit ScopedSpan(const char* name) {
-    if (!TracingEnabled()) return;
-    name_ = name;
-    depth_ = internal::SpanBegin();
-    start_ns_ = internal::NowNs();
+  /// Region scope: profiler row and trace event while those are on.
+  explicit Scope(const char* name) {
+    sinks_ = internal::g_scope_sinks.load(std::memory_order_relaxed);
+    if (sinks_ != 0) Begin(name, 0, 0, 0, 0, 0);
   }
-  ~ScopedSpan() {
-    if (name_ != nullptr) internal::SpanEnd(name_, start_ns_, depth_);
+  /// Region scope that also observes its duration (seconds) into `hist`.
+  Scope(const char* name, Histogram& hist) : hist_(&hist) {
+    sinks_ = internal::g_scope_sinks.load(std::memory_order_relaxed) |
+             internal::kHistogramSink;
+    Begin(name, 0, 0, 0, 0, 0);
+  }
+  /// Shaped op (kernels, autograd nodes): profiler only.
+  Scope(const char* op, int m, int n, int k, int64_t flops, int64_t bytes) {
+    sinks_ = internal::g_scope_sinks.load(std::memory_order_relaxed) &
+             internal::kProfileSink;
+    if (sinks_ != 0) Begin(op, m, n, k, flops, bytes);
+  }
+  ~Scope() {
+    if (sinks_ != 0) End();
   }
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  const char* name_ = nullptr;
-  uint64_t start_ns_ = 0;
-  int depth_ = 0;
-};
+  void Begin(const char* name, int m, int n, int k, int64_t flops,
+             int64_t bytes);
+  void End();
 
-/// Times a scope into a latency histogram (always on, independent of the
-/// tracing switch) — for the handful of coarse stages whose latencies feed
-/// the efficiency tables.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(class Histogram& hist)
-      : hist_(hist), start_ns_(internal::NowNs()) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram& hist_;
+  // Only sinks_ is set on the disabled path (the destructor's gate); Begin
+  // fills the fields of the sinks it opened.
+  uint8_t sinks_;
+  ProfPhase phase_;
+  int depth_;
+  const char* name_;
+  Histogram* hist_;
+  int m_, n_, k_;
+  int64_t flops_, bytes_;
   uint64_t start_ns_;
+  uint64_t child_ns_;       // filled by directly nested profiled scopes
+  uint64_t* parent_child_;  // nullptr ⇒ a profiler root
 };
 
 }  // namespace head::obs
@@ -98,8 +117,9 @@ class ScopedTimer {
 #define HEAD_OBS_CONCAT_INNER(a, b) a##b
 #define HEAD_OBS_CONCAT(a, b) HEAD_OBS_CONCAT_INNER(a, b)
 
-/// Opens a trace span covering the rest of the enclosing scope.
-#define HEAD_SPAN(name) \
-  ::head::obs::ScopedSpan HEAD_OBS_CONCAT(head_span_, __LINE__)(name)
+/// Opens a scope covering the rest of the enclosing block:
+/// HEAD_SPAN(name) or HEAD_SPAN(name, histogram).
+#define HEAD_SPAN(...) \
+  ::head::obs::Scope HEAD_OBS_CONCAT(head_span_, __LINE__)(__VA_ARGS__)
 
 #endif  // HEAD_OBS_SPAN_H_

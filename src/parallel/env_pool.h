@@ -24,7 +24,6 @@
 #define HEAD_PARALLEL_ENV_POOL_H_
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <map>
@@ -38,6 +37,7 @@
 #include "nn/autograd.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/span.h"
 #include "parallel/thread_pool.h"
 #include "rl/env.h"
 #include "rl/replay_buffer.h"
@@ -233,15 +233,12 @@ class EnvPool {
       for (int64_t e = e0; e < e1; ++e) {
         rl::DrivingEnv& env = *envs_[e];
         for (int j = static_cast<int>(e); j < count; j += k) {
-          const auto t0 = std::chrono::steady_clock::now();
+          HEAD_SPAN("parallel.envpool.episode", episode_latency);
           results[j] = RunAgentEpisode(
               agent, env, first_index + j,
               j < static_cast<int>(opts.epsilons.size()) ? opts.epsilons[j]
                                                          : 0.0,
               opts);
-          episode_latency.Observe(std::chrono::duration<double>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count());
           episodes_counter.Add();
         }
       }

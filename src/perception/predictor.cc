@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "nn/autograd.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/span.h"
 
@@ -19,10 +18,8 @@ nn::Var StatePredictor::ForwardScaledBatch(
 }
 
 Prediction StatePredictor::Predict(const StGraph& graph) const {
-  HEAD_SPAN("perception.predict");
-  HEAD_PROF_SCOPE("perception.predict");
   static obs::Histogram& latency = obs::LatencyHistogram("perception.predict");
-  obs::ScopedTimer timer(latency);
+  HEAD_SPAN("perception.predict", latency);
   // Inference only — don't record an autograd graph for this forward pass,
   // and recycle the previous prediction's tape nodes first.
   nn::ResetTape();

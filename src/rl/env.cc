@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "obs/recorder.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace head::rl {
@@ -47,7 +46,8 @@ DrivingEnv::DrivingEnv(const EnvConfig& config,
       perception_(config.sim.road, config.sensor.range_m, config.scale,
                   config.history_z, config.use_pvc,
                   config.use_prediction ? predictor : nullptr),
-      reward_fn_(config.reward, config.sim.road) {
+      reward_fn_(config.reward, config.sim.road),
+      rear_(RearVehicle(sim_)) {
   if (config_.use_prediction) {
     HEAD_CHECK_MSG(predictor != nullptr,
                    "use_prediction requires a state predictor");
@@ -56,7 +56,6 @@ DrivingEnv::DrivingEnv(const EnvConfig& config,
 
 AugmentedState DrivingEnv::Perceive() {
   HEAD_SPAN("env.perceive");
-  HEAD_PROF_SCOPE("env.perceive");
   perception::ObservationFrame frame;
   frame.ego = sim_.ego_state();
   frame.observed = sensor::Observe(sim_.GlobalSnapshot(), sim_.ego_state(),
@@ -66,30 +65,22 @@ AugmentedState DrivingEnv::Perceive() {
 
 AugmentedState DrivingEnv::Reset(uint64_t seed) {
   sim_.Reset(seed);
+  rear_ = RearVehicle(sim_);
   perception_.Clear();
   prev_accel_ = 0.0;
   return Perceive();
 }
 
 DrivingEnv::StepOutcome DrivingEnv::Step(const Maneuver& maneuver) {
-  HEAD_SPAN("env.step");
-  HEAD_PROF_SCOPE("env.step");  // profiler root for rollout attribution
+  HEAD_SPAN("env.step");  // profiler root for rollout attribution
   HEAD_CHECK(sim_.status() == sim::EpisodeStatus::kRunning);
-
-  // Remember the rear conventional vehicle before acting (impact reward
-  // compares its velocity across the transition, Eq. 30).
-  const std::optional<sim::VehicleSnapshot> rear_before = RearVehicle(sim_);
-
-  const sim::EpisodeStatus status = [&] {
-    HEAD_PROF_SCOPE("env.sim");
-    return sim_.Step(maneuver);
-  }();
+  const sim::EpisodeStatus status = sim_.Step(maneuver);
 
   StepOutcome out;
   out.status = status;
   out.done = status != sim::EpisodeStatus::kRunning;
-  out.reward = reward_fn_.Compute(ObserveTransition(
-      sim_, rear_before, maneuver.accel_mps2, prev_accel_));
+  out.reward = reward_fn_.Compute(
+      ObserveTransition(sim_, &rear_, maneuver.accel_mps2, prev_accel_));
 
   // Flight recorder: the scratch now holds this step's full story
   // (perception from the pre-step Perceive, the agent's decision internals,

@@ -86,6 +86,9 @@ class DrivingEnv {
   sim::Simulation sim_;
   PerceptionChain perception_;
   RewardFunction reward_fn_;
+  /// The conventional vehicle behind the ego now: Eq. 30's C_5 at t, whose
+  /// slowdown across the next step is the impact term.
+  std::optional<sim::VehicleSnapshot> rear_;
   double prev_accel_ = 0.0;
 };
 

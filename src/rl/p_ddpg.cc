@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "obs/span.h"
 
 namespace head::rl {
 
@@ -51,6 +52,7 @@ nn::Var PddpgAgent::Critic(const nn::Mlp& net, const AugmentedState& s,
 
 AgentAction PddpgAgent::Act(const AugmentedState& state, double epsilon,
                             Rng& rng) {
+  HEAD_SPAN("rl.act");
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
   nn::Tensor u = Actor(actor_, state).value();  // (1×6)

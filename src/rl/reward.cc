@@ -26,31 +26,35 @@ std::optional<sim::VehicleSnapshot> RearVehicle(const sim::Simulation& sim) {
 }
 
 RewardObservation ObserveTransition(
-    const sim::Simulation& sim,
-    const std::optional<sim::VehicleSnapshot>& rear_before,
+    const sim::Simulation& sim, std::optional<sim::VehicleSnapshot>* rear,
     double accel_now_mps2, double accel_prev_mps2) {
   RewardObservation obs;
   obs.collision = sim.status() == sim::EpisodeStatus::kCollision;
   obs.ego_next = sim.ego_state();
   obs.accel_now_mps2 = accel_now_mps2;
   obs.accel_prev_mps2 = accel_prev_mps2;
-  {
-    // The view must outlive the Leader() pointer into it.
-    const sim::RoadView view = sim.View();
-    const sim::VehicleSnapshot* front =
-        view.Leader(obs.ego_next.lane, obs.ego_next.lon_m, kEgoVehicleId);
-    if (front != nullptr) obs.front_next = front->state;
-  }
-  if (rear_before.has_value()) {
-    obs.rear_v_now_mps = rear_before->state.v_mps;
+  if (rear->has_value()) {
+    obs.rear_v_now_mps = (*rear)->state.v_mps;
     // Track the same vehicle after the step (it may have changed lanes or
     // fallen out of being "the" follower — what matters is its slowdown).
     for (const sim::Vehicle& v : sim.conventional_vehicles()) {
-      if (v.id == rear_before->id) {
+      if (v.id == (*rear)->id) {
         obs.rear_v_next_mps = v.state.v_mps;
         break;
       }
     }
+  }
+  // The view must outlive the Leader()/Follower() pointers into it.
+  const sim::RoadView view = sim.View();
+  const sim::VehicleSnapshot* front =
+      view.Leader(obs.ego_next.lane, obs.ego_next.lon_m, kEgoVehicleId);
+  if (front != nullptr) obs.front_next = front->state;
+  const sim::VehicleSnapshot* follower =
+      view.Follower(obs.ego_next.lane, obs.ego_next.lon_m, kEgoVehicleId);
+  if (follower != nullptr) {
+    *rear = *follower;
+  } else {
+    rear->reset();
   }
   return obs;
 }

@@ -42,16 +42,17 @@ struct RewardObservation {
 };
 
 /// The conventional vehicle directly behind the ego (C_5), or nullopt.
-/// Captured before sim.Step for ObserveTransition.
+/// Taken once at episode start; ObserveTransition carries it from there.
 std::optional<sim::VehicleSnapshot> RearVehicle(const sim::Simulation& sim);
 
-/// Builds the transition's reward observation from `rear_before`
-/// (RearVehicle just before sim.Step) and the simulator state just after
-/// it. The one place any loop derives the front/rear vehicles the reward
-/// sees, so training and evaluation score a step identically.
+/// Builds the transition's reward observation from the simulator state just
+/// after sim.Step and `*rear`, the follower just before it; then sets `*rear`
+/// to the follower just after it, which is the next step's (nothing moves
+/// the simulation between steps), so one RoadView per step serves both. The
+/// one place any loop derives the front/rear vehicles the reward sees, so
+/// training and evaluation score a step identically.
 RewardObservation ObserveTransition(
-    const sim::Simulation& sim,
-    const std::optional<sim::VehicleSnapshot>& rear_before,
+    const sim::Simulation& sim, std::optional<sim::VehicleSnapshot>* rear,
     double accel_now_mps2, double accel_prev_mps2);
 
 struct RewardTerms {

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "nn/arena.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace head::serve {
@@ -320,8 +319,6 @@ void DecisionService::DispatchPredictions(
 
 void DecisionService::ExecuteDecisionBatch(
     const ModelSnapshot& snap, std::vector<PendingDecision>& batch) {
-  HEAD_PROF_SCOPE("serve.batch");  // profiler root for the serve hot path
-  HEAD_SPAN("serve.batch");
   static obs::Histogram& exec_latency =
       obs::MicroLatencyHistogram("serve.batch_exec");
   static obs::Histogram& request_latency =
@@ -330,7 +327,7 @@ void DecisionService::ExecuteDecisionBatch(
   static obs::Counter& replies = obs::GetCounter("serve.replies");
   static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
   static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  const obs::ScopedTimer timer(exec_latency);
+  HEAD_SPAN("serve.batch", exec_latency);  // profiler root of the serve path
 
   const size_t n = batch.size();
   std::vector<const rl::AugmentedState*> states;
@@ -361,8 +358,6 @@ void DecisionService::ExecuteDecisionBatch(
 
 void DecisionService::ExecutePredictionBatch(
     const ModelSnapshot& snap, std::vector<PendingPrediction>& batch) {
-  HEAD_PROF_SCOPE("serve.batch");
-  HEAD_SPAN("serve.batch");
   static obs::Histogram& exec_latency =
       obs::MicroLatencyHistogram("serve.batch_exec");
   static obs::Histogram& request_latency =
@@ -371,7 +366,7 @@ void DecisionService::ExecutePredictionBatch(
   static obs::Counter& replies = obs::GetCounter("serve.replies");
   static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
   static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  const obs::ScopedTimer timer(exec_latency);
+  HEAD_SPAN("serve.batch", exec_latency);
 
   const size_t n = batch.size();
   std::vector<const perception::StGraph*> graphs;

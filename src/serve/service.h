@@ -20,8 +20,9 @@
 // Observability (src/obs): serve.request_latency / serve.batch_exec µs-scale
 // histograms (p50/p95/p99), serve.batch_size histogram, serve.queue_depth
 // gauge, serve.requests / replies / batches / rejected / deadline_missed /
-// alloc_events counters, and a HEAD_PROF_SCOPE("serve.batch") profiler root
-// over the batch hot path.
+// alloc_events counters, and one HEAD_SPAN("serve.batch", batch_exec) over
+// the batch hot path — profiler root, trace span and the serve.batch_exec
+// histogram from one clock pair.
 #ifndef HEAD_SERVE_SERVICE_H_
 #define HEAD_SERVE_SERVICE_H_
 

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "nn/autograd.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace head::serve {
@@ -124,7 +123,7 @@ ModelSnapshotRegistry::ModelSnapshotRegistry(ModelFactories factories,
 std::shared_ptr<const ModelSnapshot> ModelSnapshotRegistry::Publish(
     const rl::XNet& x, const rl::QNet& q,
     const perception::StatePredictor* predictor) {
-  HEAD_PROF_SCOPE("serve.publish");
+  HEAD_SPAN("serve.publish");
   // Deep copies run outside the ring lock — weight copies are the expensive
   // part of a publish and must not block Current() readers' lock-free path
   // (they don't) nor live_versions() introspection (they would).

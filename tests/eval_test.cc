@@ -85,7 +85,7 @@ TEST(TimerTest, MeasuresRoughly) {
   const double ms = MeasureAvgMillis(
       [] {
         volatile double x = 0;
-        for (int i = 0; i < 10000; ++i) x += i;
+        for (int i = 0; i < 10000; ++i) x = x + i;
       },
       5);
   EXPECT_GT(ms, 0.0);

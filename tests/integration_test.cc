@@ -170,6 +170,9 @@ class ScriptedPerceiver : public decision::Policy {
     states.push_back(head_.Perceive(view));
     return ScriptedManeuver(states.size() - 1);
   }
+  const rl::RewardConfig* reward_config() const override {
+    return head_.reward_config();
+  }
   std::vector<rl::AugmentedState> states;
 
  private:
@@ -186,46 +189,52 @@ TEST(IntegrationTest, TrainingAndInferenceSeeSameStatesAndRewards) {
   // One seed, one maneuver script, two loops: the training env
   // (DrivingEnv::Step) and the evaluation runner (eval::RunEpisode driving
   // a HeadAgent's perception). Both must see the same s⁺ and reward at
-  // every step, bit for bit.
-  core::HeadConfig config = SmallHeadConfig();
-  Rng rng(21);
-  auto predictor = std::make_shared<perception::LstGat>(
-      perception::LstGatConfig{.d_phi1 = 8, .d_phi3 = 8, .d_lstm = 8}, rng);
-  core::HeadAgent head(config, predictor,
-                       rl::MakeBpDqnAgent(config.pdqn, rng));
-  sim::SimConfig sim = SmallSim(config.road);
-  sim.max_steps = 80;
-  constexpr uint64_t kSeed = 14;  // 34 steps, ending in a collision
+  // every step, bit for bit — also for HEAD-w/o-IMP, which trains without
+  // the impact term.
+  for (const core::HeadVariant& variant :
+       {core::HeadVariant::Full(), core::HeadVariant::WithoutImpact()}) {
+    SCOPED_TRACE(variant.Name());
+    core::HeadConfig config = SmallHeadConfig();
+    config.variant = variant;
+    Rng rng(21);
+    auto predictor = std::make_shared<perception::LstGat>(
+        perception::LstGatConfig{.d_phi1 = 8, .d_phi3 = 8, .d_lstm = 8}, rng);
+    core::HeadAgent head(config, predictor,
+                         rl::MakeBpDqnAgent(config.pdqn, rng));
+    sim::SimConfig sim = SmallSim(config.road);
+    sim.max_steps = 80;
+    constexpr uint64_t kSeed = 14;  // 34 steps, ending in a collision
 
-  rl::DrivingEnv env(config.MakeEnvConfig(sim), predictor.get(), 1);
-  std::vector<rl::AugmentedState> env_states = {env.Reset(kSeed)};
-  std::vector<rl::RewardTerms> env_rewards;
-  for (size_t i = 0;; ++i) {
-    const rl::DrivingEnv::StepOutcome out = env.Step(ScriptedManeuver(i));
-    env_rewards.push_back(out.reward);
-    if (out.done) break;
-    env_states.push_back(out.next_state);
-  }
+    rl::DrivingEnv env(config.MakeEnvConfig(sim), predictor.get(), 1);
+    std::vector<rl::AugmentedState> env_states = {env.Reset(kSeed)};
+    std::vector<rl::RewardTerms> env_rewards;
+    for (size_t i = 0;; ++i) {
+      const rl::DrivingEnv::StepOutcome out = env.Step(ScriptedManeuver(i));
+      env_rewards.push_back(out.reward);
+      if (out.done) break;
+      env_states.push_back(out.next_state);
+    }
 
-  ScriptedPerceiver policy(head);
-  eval::RunnerConfig runner;
-  runner.sim = sim;
-  runner.sensor = config.sensor;
-  eval::EpisodeTrace trace;
-  eval::RunEpisode(policy, runner, kSeed, /*episode_index=*/0, &trace);
+    ScriptedPerceiver policy(head);
+    eval::RunnerConfig runner;
+    runner.sim = sim;
+    runner.sensor = config.sensor;
+    eval::EpisodeTrace trace;
+    eval::RunEpisode(policy, runner, kSeed, /*episode_index=*/0, &trace);
 
-  ASSERT_GT(env_rewards.size(), 20u);
-  ASSERT_EQ(trace.steps.size(), env_rewards.size());
-  ASSERT_EQ(policy.states.size(), env_states.size());
-  for (size_t i = 0; i < env_states.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(policy.states[i].h, env_states[i].h))
-        << "step " << i;
-    EXPECT_TRUE(BitwiseEqual(policy.states[i].f, env_states[i].f))
-        << "step " << i;
-    EXPECT_EQ(std::memcmp(&trace.steps[i].reward, &env_rewards[i],
-                          sizeof(rl::RewardTerms)),
-              0)
-        << "step " << i;
+    ASSERT_GT(env_rewards.size(), 20u);
+    ASSERT_EQ(trace.steps.size(), env_rewards.size());
+    ASSERT_EQ(policy.states.size(), env_states.size());
+    for (size_t i = 0; i < env_states.size(); ++i) {
+      EXPECT_TRUE(BitwiseEqual(policy.states[i].h, env_states[i].h))
+          << "step " << i;
+      EXPECT_TRUE(BitwiseEqual(policy.states[i].f, env_states[i].f))
+          << "step " << i;
+      EXPECT_EQ(std::memcmp(&trace.steps[i].reward, &env_rewards[i],
+                            sizeof(rl::RewardTerms)),
+                0)
+          << "step " << i;
+    }
   }
 }
 

@@ -93,9 +93,9 @@ TEST(ProfilerTest, AggregatesCountShapeAndFlops) {
 
 TEST(ProfilerTest, SelfTimeAndCoverageFromNesting) {
   StartWallClockProfiling();
-  { HEAD_PROF_SCOPE("test.warmup"); }  // one-time slot-claim cost off-path
+  { HEAD_SPAN("test.warmup"); }  // one-time slot-claim cost off-path
   for (int i = 0; i < 8; ++i) {
-    HEAD_PROF_SCOPE("test.root");
+    HEAD_SPAN("test.root");
     SpinNs(1000);  // root self work
     {
       HEAD_PROF_OP("test.child", 4, 4, 0, 0, 0);
@@ -238,7 +238,7 @@ TEST(ProfilerTest, ChromeTraceCarriesCounterTracks) {
 
   const std::string path =
       ::testing::TempDir() + "/obs_profiler_test_trace.json";
-  ASSERT_TRUE(obs::WriteChromeTraceWithCountersFile(path));
+  ASSERT_TRUE(obs::WriteChromeTraceFile(path));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -275,7 +275,7 @@ TEST(ProfilerTest, MultiThreadedEnvPoolRollout) {
 
   StartWallClockProfiling();
   {
-    HEAD_PROF_SCOPE("test.rollout");
+    HEAD_SPAN("test.rollout");
     const auto results = envs.RunEpisodes(*agent, 0, 8, opts);
     EXPECT_EQ(results.size(), 8u);
   }
@@ -290,6 +290,19 @@ TEST(ProfilerTest, MultiThreadedEnvPoolRollout) {
   EXPECT_NE(FindOp(report, "env.perceive"), nullptr);
   EXPECT_NE(FindOp(report, "rl.act"), nullptr);
   EXPECT_GT(report.coverage, 0.0);
+  // The simulator and sensor spans are rows of their own nested under
+  // env.step / env.perceive, and the env reports no other rows.
+  for (const char* nested : {"sim.step", "sensor.observe"}) {
+    const obs::OpStats* op = FindOp(report, nested);
+    ASSERT_NE(op, nullptr) << nested;
+    EXPECT_EQ(op->root_count, 0) << nested;
+  }
+  EXPECT_EQ(FindOp(report, "sim.step")->count, step->count);
+  for (const obs::OpStats& op : report.ops) {
+    if (op.op.rfind("env.", 0) == 0) {
+      EXPECT_TRUE(op.op == "env.step" || op.op == "env.perceive") << op.op;
+    }
+  }
 }
 
 }  // namespace

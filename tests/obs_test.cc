@@ -1,5 +1,5 @@
 // Metrics registry (bucket/quantile math, snapshot-and-reset, concurrency)
-// and trace spans (nesting, Chrome trace export, disabled path).
+// and spans (nesting, Chrome trace export, disabled path, histogram sink).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace head::obs {
@@ -202,6 +203,26 @@ TEST(SpanTest, DisabledSpansRecordNothing) {
   DrainTraceEvents();
   { HEAD_SPAN("obs_test.disabled"); }
   EXPECT_TRUE(DrainTraceEvents().empty());
+}
+
+TEST(SpanTest, HistogramSpanFeedsHistogramAlwaysAndTraceFromOneClockPair) {
+  SetTracingEnabled(false);
+  StopProfiling();
+  DrainTraceEvents();
+  Histogram& untraced = LatencyHistogram("obs_test.span_untraced");
+  { HEAD_SPAN("obs_test.span_untraced", untraced); }
+  EXPECT_EQ(untraced.Snapshot().count, 1);
+  EXPECT_TRUE(DrainTraceEvents().empty());
+
+  Histogram& traced = LatencyHistogram("obs_test.span_traced");
+  SetTracingEnabled(true);
+  { HEAD_SPAN("obs_test.span_traced", traced); }
+  SetTracingEnabled(false);
+  const std::vector<TraceEvent> events = DrainTraceEvents();
+  ASSERT_EQ(events.size(), 1u);
+  const HistogramSnapshot s = traced.Snapshot();
+  ASSERT_EQ(s.count, 1);
+  EXPECT_EQ(s.min, static_cast<double>(events[0].dur_ns) * 1e-9);
 }
 
 TEST(SpanTest, NestedSpansRecordDepthAndContainment) {

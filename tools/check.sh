@@ -38,6 +38,8 @@
 #      throughput regresses more than 30%, if the 0.6x-load p99 blows past
 #      its recorded noise envelope, or if a warmed-up served batch performs
 #      any arena/pool heap event per request (--require-zero-allocs).
+#   7. Perfbench stage: builds the benchmark package (perfbench/, which
+#      ctest does not build) and runs its helper tests via run.py --self-test.
 #
 # Usage:
 #   tools/check.sh                         # all stages (tsan + asan + perf)
@@ -48,6 +50,7 @@
 #   HEAD_SKIP_SMOKE=1 tools/check.sh       # skip the flight-recorder smoke
 #   HEAD_SKIP_PROFILE=1 tools/check.sh     # skip the op-profile diff gate
 #   HEAD_SKIP_SERVE=1 tools/check.sh       # skip the serve throughput gate
+#   HEAD_SKIP_PERFBENCH=1 tools/check.sh   # skip the perfbench build + self-test
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -176,4 +179,10 @@ if [[ "${HEAD_SKIP_SERVE:-0}" != "1" ]]; then
     --max-regress=0.30 \
     --require-zero-allocs
   echo "== serve smoke passed (JSON: ${SERVE_BUILD_DIR}/BENCH_serve_throughput.json) =="
+fi
+
+if [[ "${HEAD_SKIP_PERFBENCH:-0}" != "1" ]]; then
+  echo "== perfbench: build the benchmark package and run its self-test =="
+  python3 perfbench/run.py --self-test
+  echo "== perfbench self-test passed =="
 fi

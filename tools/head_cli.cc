@@ -224,13 +224,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!trace_out.empty()) {
-    // With the profiler on, merge its throughput counter tracks into the
-    // span trace; plain spans otherwise.
-    const bool ok = profile_out.empty()
-                        ? head::obs::WriteChromeTraceFile(trace_out)
-                        : head::obs::WriteChromeTraceWithCountersFile(
-                              trace_out);
-    if (ok) {
+    if (head::obs::WriteChromeTraceFile(trace_out)) {
       std::fprintf(stderr, "trace written to %s\n", trace_out.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_out.c_str());
