@@ -26,28 +26,59 @@ obs::Histogram& BatchSizeHistogram() {
                            obs::CachedLinearBounds(1.0, 128.0, 1.0));
 }
 
-/// A future that is already complete with `status` — the no-compute exits
-/// (rejection, shutdown-at-submit).
+/// Completes a request without model output (the rejection, deadline,
+/// shutdown and unavailable paths).
 template <typename Reply>
-std::future<Reply> ReadyReply(ServeStatus status, double latency_s) {
-  std::promise<Reply> promise;
+void CompleteWithStatus(std::promise<Reply>& promise, ServeStatus status,
+                        double latency_s) {
   Reply reply;
   reply.status = status;
   reply.latency_s = latency_s;
-  std::future<Reply> future = promise.get_future();
   promise.set_value(std::move(reply));
-  return future;
 }
 
-/// Completes `pending` without model output (rejection / deadline /
-/// shutdown paths).
-template <typename Pending, typename Reply>
-void CompleteWithStatus(Pending& pending, ServeStatus status, double now) {
-  Reply reply;
-  reply.status = status;
-  reply.latency_s = now - pending.submit_s;
-  pending.promise.set_value(std::move(reply));
+/// A future that is already complete with `status` — the no-compute exits
+/// at submit time (rejection, shutdown).
+template <typename Reply>
+std::future<Reply> ReadyReply(ServeStatus status) {
+  std::promise<Reply> promise;
+  CompleteWithStatus(promise, status, 0.0);
+  return promise.get_future();
 }
+
+/// The per-kind seams of the request lane: the payload a batch forwards,
+/// whether a snapshot can serve the kind, the snapshot call, and the reply
+/// field the output lands in. Everything else is shared.
+template <typename Request>
+struct Kind;
+
+template <>
+struct Kind<DecisionRequest> {
+  using Input = rl::AugmentedState;
+  using Output = DecisionOutput;
+  static const Input* Payload(const DecisionRequest& r) { return &r.state; }
+  static Output& Field(DecisionReply& reply) { return reply.output; }
+  static bool Servable(const ModelSnapshot&) { return true; }
+  static void Run(const ModelSnapshot& snap,
+                  const std::vector<const Input*>& in, Output* out) {
+    snap.DecideBatch(in, out);
+  }
+};
+
+template <>
+struct Kind<PredictionRequest> {
+  using Input = perception::StGraph;
+  using Output = perception::Prediction;
+  static const Input* Payload(const PredictionRequest& r) { return &r.graph; }
+  static Output& Field(PredictionReply& reply) { return reply.prediction; }
+  static bool Servable(const ModelSnapshot& snap) {
+    return snap.has_predictor();
+  }
+  static void Run(const ModelSnapshot& snap,
+                  const std::vector<const Input*>& in, Output* out) {
+    snap.PredictBatch(in, out);
+  }
+};
 
 }  // namespace
 
@@ -61,6 +92,8 @@ const char* ServeStatusName(ServeStatus status) {
       return "deadline_exceeded";
     case ServeStatus::kShutdown:
       return "shutdown";
+    case ServeStatus::kUnavailable:
+      return "unavailable";
   }
   return "unknown";
 }
@@ -83,33 +116,33 @@ DecisionService::DecisionService(ModelSnapshotRegistry* registry,
 
 DecisionService::~DecisionService() { Shutdown(); }
 
-std::future<DecisionReply> DecisionService::SubmitDecision(
-    DecisionRequest request) {
+template <typename Request, typename Reply>
+std::future<Reply> DecisionService::Submit(Request request,
+                                           Queue<Request, Reply>& queue) {
   static obs::Counter& requests = obs::GetCounter("serve.requests");
   static obs::Counter& rejected = obs::GetCounter("serve.rejected");
   static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
   requests.Add();
   const double now = NowSeconds();
-  PendingDecision pending;
+  Pending<Request, Reply> pending;
   pending.request = std::move(request);
   pending.submit_s = now;
   const int64_t budget_us = pending.request.deadline_us > 0
                                 ? pending.request.deadline_us
                                 : config_.default_deadline_us;
   pending.deadline_s = budget_us > 0 ? now + budget_us * 1e-6 : 0.0;
-  std::future<DecisionReply> future = pending.promise.get_future();
+  std::future<Reply> future = pending.promise.get_future();
   size_t kind_size = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return ReadyReply<DecisionReply>(ServeStatus::kShutdown, 0.0);
-    if (static_cast<int>(decision_queue_.size() + prediction_queue_.size()) >=
-        config_.queue_capacity) {
+    if (stop_) return ReadyReply<Reply>(ServeStatus::kShutdown);
+    if (static_cast<int>(QueuedLocked()) >= config_.queue_capacity) {
       rejected.Add();
-      return ReadyReply<DecisionReply>(ServeStatus::kRejected, 0.0);
+      return ReadyReply<Reply>(ServeStatus::kRejected);
     }
-    decision_queue_.push_back(std::move(pending));
-    kind_size = decision_queue_.size();
-    depth.Set(static_cast<double>(kind_size + prediction_queue_.size()));
+    queue.push_back(std::move(pending));
+    kind_size = queue.size();
+    depth.Set(static_cast<double>(QueuedLocked()));
   }
   // Edge-triggered wakeup: the batcher only acts on this queue becoming
   // non-empty (it may be idle) or filling a whole batch (it may be holding
@@ -122,45 +155,19 @@ std::future<DecisionReply> DecisionService::SubmitDecision(
   return future;
 }
 
+std::future<DecisionReply> DecisionService::SubmitDecision(
+    DecisionRequest request) {
+  return Submit(std::move(request), decision_queue_);
+}
+
 std::future<PredictionReply> DecisionService::SubmitPrediction(
     PredictionRequest request) {
-  static obs::Counter& requests = obs::GetCounter("serve.requests");
-  static obs::Counter& rejected = obs::GetCounter("serve.rejected");
-  static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
-  requests.Add();
-  const double now = NowSeconds();
-  PendingPrediction pending;
-  pending.request = std::move(request);
-  pending.submit_s = now;
-  const int64_t budget_us = pending.request.deadline_us > 0
-                                ? pending.request.deadline_us
-                                : config_.default_deadline_us;
-  pending.deadline_s = budget_us > 0 ? now + budget_us * 1e-6 : 0.0;
-  std::future<PredictionReply> future = pending.promise.get_future();
-  size_t kind_size = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return ReadyReply<PredictionReply>(ServeStatus::kShutdown, 0.0);
-    if (static_cast<int>(decision_queue_.size() + prediction_queue_.size()) >=
-        config_.queue_capacity) {
-      rejected.Add();
-      return ReadyReply<PredictionReply>(ServeStatus::kRejected, 0.0);
-    }
-    prediction_queue_.push_back(std::move(pending));
-    kind_size = prediction_queue_.size();
-    depth.Set(static_cast<double>(decision_queue_.size() + kind_size));
-  }
-  // Edge-triggered wakeup; see SubmitDecision.
-  if (kind_size == 1 || kind_size == static_cast<size_t>(config_.max_batch)) {
-    cv_.notify_one();
-  }
-  return future;
+  return Submit(std::move(request), prediction_queue_);
 }
 
 int64_t DecisionService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(decision_queue_.size() +
-                              prediction_queue_.size());
+  return static_cast<int64_t>(QueuedLocked());
 }
 
 void DecisionService::SetPausedForTest(bool paused) {
@@ -181,114 +188,67 @@ void DecisionService::Shutdown() {
   inflight_.Wait();
 }
 
-bool DecisionService::FormAndDispatchLocked(
-    std::unique_lock<std::mutex>& lock) {
-  static obs::Counter& deadline_missed =
-      obs::GetCounter("serve.deadline_missed");
-  static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
+template <typename Request, typename Reply>
+void DecisionService::Execute(const ModelSnapshot* snap,
+                              Batch<Request, Reply>& batch) {
+  using K = Kind<Request>;
+  static obs::Histogram& exec_latency =
+      obs::MicroLatencyHistogram("serve.batch_exec");
+  static obs::Histogram& request_latency =
+      obs::MicroLatencyHistogram("serve.request_latency");
+  static obs::Counter& batches = obs::GetCounter("serve.batches");
+  static obs::Counter& replies = obs::GetCounter("serve.replies");
+  static obs::Counter& unavailable = obs::GetCounter("serve.unavailable");
+  static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
+  static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
+  const size_t n = batch.size();
 
-  // Serve the kind whose oldest request has waited longest.
-  const bool have_d = !decision_queue_.empty();
-  const bool have_p = !prediction_queue_.empty();
-  if (!have_d && !have_p) return false;
-  const bool decisions =
-      have_d && (!have_p ||
-                 decision_queue_.front().submit_s <=
-                     prediction_queue_.front().submit_s);
-
-  // Window: wait until max_batch of this kind are queued or batch_window_us
-  // has elapsed since the oldest one was admitted.
-  const double cut_s =
-      (decisions ? decision_queue_.front().submit_s
-                 : prediction_queue_.front().submit_s) +
-      config_.batch_window_us * 1e-6;
-  for (;;) {
-    if (stop_ || paused_) return false;
-    const size_t waiting =
-        decisions ? decision_queue_.size() : prediction_queue_.size();
-    if (static_cast<int>(waiting) >= config_.max_batch) break;
-    const double remaining_s = cut_s - NowSeconds();
-    if (remaining_s <= 0.0) break;
-    cv_.wait_for(lock, std::chrono::duration<double>(remaining_s));
+  if (snap == nullptr || !K::Servable(*snap)) {
+    // Nothing published yet, or no predictor in this version: the batch
+    // never reaches a model.
+    unavailable.Add(static_cast<int64_t>(n));
+    const double now = NowSeconds();
+    for (Pending<Request, Reply>& pending : batch) {
+      CompleteWithStatus(pending.promise, ServeStatus::kUnavailable,
+                         now - pending.submit_s);
+    }
+    return;
   }
 
-  // Pop straight into the heap vector the executor will own: one move per
-  // request, no re-wrap at dispatch time.
+  HEAD_SPAN("serve.batch", exec_latency);  // profiler root of the serve path
+  std::vector<const typename K::Input*> inputs;
+  inputs.reserve(n);
+  for (const Pending<Request, Reply>& pending : batch) {
+    inputs.push_back(K::Payload(pending.request));
+  }
+  std::vector<typename K::Output> outputs(n);
+  const uint64_t allocs_before = nn::AllocEvents();
+  K::Run(*snap, inputs, outputs.data());
+  alloc_events.Add(static_cast<int64_t>(nn::AllocEvents() - allocs_before));
+
+  BatchSizeHistogram().Observe(static_cast<double>(n));
+  batches.Add();
+  model_version.Set(static_cast<double>(snap->version()));
   const double now = NowSeconds();
-  if (decisions) {
-    auto batch = std::make_shared<std::vector<PendingDecision>>();
-    batch->reserve(static_cast<size_t>(config_.max_batch));
-    while (!decision_queue_.empty() &&
-           static_cast<int>(batch->size()) < config_.max_batch) {
-      PendingDecision& pending = decision_queue_.front();
-      if (pending.deadline_s > 0.0 && now > pending.deadline_s) {
-        deadline_missed.Add();
-        CompleteWithStatus<PendingDecision, DecisionReply>(
-            pending, ServeStatus::kDeadlineExceeded, now);
-      } else {
-        batch->push_back(std::move(pending));
-      }
-      decision_queue_.pop_front();
-    }
-    depth.Set(static_cast<double>(decision_queue_.size() +
-                                  prediction_queue_.size()));
-    if (batch->empty()) return true;  // every candidate had expired
-    lock.unlock();
-    DispatchDecisions(registry_->Current(), std::move(batch));
-    lock.lock();
-  } else {
-    auto batch = std::make_shared<std::vector<PendingPrediction>>();
-    batch->reserve(static_cast<size_t>(config_.max_batch));
-    while (!prediction_queue_.empty() &&
-           static_cast<int>(batch->size()) < config_.max_batch) {
-      PendingPrediction& pending = prediction_queue_.front();
-      if (pending.deadline_s > 0.0 && now > pending.deadline_s) {
-        deadline_missed.Add();
-        CompleteWithStatus<PendingPrediction, PredictionReply>(
-            pending, ServeStatus::kDeadlineExceeded, now);
-      } else {
-        batch->push_back(std::move(pending));
-      }
-      prediction_queue_.pop_front();
-    }
-    depth.Set(static_cast<double>(decision_queue_.size() +
-                                  prediction_queue_.size()));
-    if (batch->empty()) return true;
-    lock.unlock();
-    DispatchPredictions(registry_->Current(), std::move(batch));
-    lock.lock();
+  for (size_t i = 0; i < n; ++i) {
+    Reply reply;
+    reply.status = ServeStatus::kOk;
+    K::Field(reply) = outputs[i];
+    reply.model_version = snap->version();
+    reply.latency_s = now - batch[i].submit_s;
+    request_latency.Observe(reply.latency_s);
+    batch[i].promise.set_value(std::move(reply));
   }
-  return true;
+  replies.Add(static_cast<int64_t>(n));
 }
 
-void DecisionService::BatcherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] {
-      return stop_ || (!paused_ && (!decision_queue_.empty() ||
-                                    !prediction_queue_.empty()));
-    });
-    if (stop_) break;
-    FormAndDispatchLocked(lock);
+template <typename Request, typename Reply>
+void DecisionService::Dispatch(std::shared_ptr<const ModelSnapshot> snap,
+                               std::shared_ptr<Batch<Request, Reply>> batch) {
+  if (snap == nullptr) {  // no version to pin: completes without compute
+    Execute(nullptr, *batch);
+    return;
   }
-  // Stopped: complete everything still queued as kShutdown.
-  const double now = NowSeconds();
-  while (!decision_queue_.empty()) {
-    CompleteWithStatus<PendingDecision, DecisionReply>(
-        decision_queue_.front(), ServeStatus::kShutdown, now);
-    decision_queue_.pop_front();
-  }
-  while (!prediction_queue_.empty()) {
-    CompleteWithStatus<PendingPrediction, PredictionReply>(
-        prediction_queue_.front(), ServeStatus::kShutdown, now);
-    prediction_queue_.pop_front();
-  }
-}
-
-void DecisionService::DispatchDecisions(
-    std::shared_ptr<const ModelSnapshot> snap,
-    std::shared_ptr<std::vector<PendingDecision>> batch) {
-  HEAD_CHECK(snap != nullptr);  // publish a version before submitting load
   inflight_.Acquire();
   // The batch rides behind a shared_ptr: std::function requires copyable
   // closures and the Pendings hold move-only promises.
@@ -298,101 +258,77 @@ void DecisionService::DispatchDecisions(
           parallel::WaitToken* token;
           ~Releaser() { token->Release(); }
         } releaser{&inflight_};
-        ExecuteDecisionBatch(*snap, *batch);
+        Execute(snap.get(), *batch);
       });
 }
 
-void DecisionService::DispatchPredictions(
-    std::shared_ptr<const ModelSnapshot> snap,
-    std::shared_ptr<std::vector<PendingPrediction>> batch) {
-  HEAD_CHECK(snap != nullptr);
-  inflight_.Acquire();
-  parallel::ThreadPool::Global().SubmitWithToken(
-      &snap->inflight(), [this, snap, batch] {
-        struct Releaser {
-          parallel::WaitToken* token;
-          ~Releaser() { token->Release(); }
-        } releaser{&inflight_};
-        ExecutePredictionBatch(*snap, *batch);
-      });
+template <typename Request, typename Reply>
+void DecisionService::FormAndDispatchLocked(
+    std::unique_lock<std::mutex>& lock, Queue<Request, Reply>& queue) {
+  static obs::Counter& deadline_missed =
+      obs::GetCounter("serve.deadline_missed");
+  static obs::Gauge& depth = obs::GetGauge("serve.queue_depth");
+
+  // Window: wait until max_batch of this kind are queued or batch_window_us
+  // has elapsed since the oldest one was admitted.
+  const double cut_s = queue.front().submit_s + config_.batch_window_us * 1e-6;
+  for (;;) {
+    if (stop_ || paused_) return;
+    if (static_cast<int>(queue.size()) >= config_.max_batch) break;
+    const double remaining_s = cut_s - NowSeconds();
+    if (remaining_s <= 0.0) break;
+    cv_.wait_for(lock, std::chrono::duration<double>(remaining_s));
+  }
+
+  // Pop straight into the heap vector the executor will own: one move per
+  // request, no re-wrap at dispatch time.
+  const double now = NowSeconds();
+  auto batch = std::make_shared<Batch<Request, Reply>>();
+  batch->reserve(static_cast<size_t>(config_.max_batch));
+  while (!queue.empty() &&
+         static_cast<int>(batch->size()) < config_.max_batch) {
+    Pending<Request, Reply>& pending = queue.front();
+    if (pending.deadline_s > 0.0 && now > pending.deadline_s) {
+      deadline_missed.Add();
+      CompleteWithStatus(pending.promise, ServeStatus::kDeadlineExceeded,
+                         now - pending.submit_s);
+    } else {
+      batch->push_back(std::move(pending));
+    }
+    queue.pop_front();
+  }
+  depth.Set(static_cast<double>(QueuedLocked()));
+  if (batch->empty()) return;  // every candidate had expired
+  lock.unlock();
+  Dispatch(registry_->Current(), std::move(batch));
+  lock.lock();
 }
 
-void DecisionService::ExecuteDecisionBatch(
-    const ModelSnapshot& snap, std::vector<PendingDecision>& batch) {
-  static obs::Histogram& exec_latency =
-      obs::MicroLatencyHistogram("serve.batch_exec");
-  static obs::Histogram& request_latency =
-      obs::MicroLatencyHistogram("serve.request_latency");
-  static obs::Counter& batches = obs::GetCounter("serve.batches");
-  static obs::Counter& replies = obs::GetCounter("serve.replies");
-  static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
-  static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  HEAD_SPAN("serve.batch", exec_latency);  // profiler root of the serve path
-
-  const size_t n = batch.size();
-  std::vector<const rl::AugmentedState*> states;
-  states.reserve(n);
-  for (const PendingDecision& pending : batch) {
-    states.push_back(&pending.request.state);
+void DecisionService::BatcherLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    cv_.wait(lock,
+             [this] { return stop_ || (!paused_ && QueuedLocked() > 0); });
+    if (stop_) break;
+    // Serve the kind whose oldest request has waited longest.
+    if (prediction_queue_.empty() ||
+        (!decision_queue_.empty() && decision_queue_.front().submit_s <=
+                                         prediction_queue_.front().submit_s)) {
+      FormAndDispatchLocked(lock, decision_queue_);
+    } else {
+      FormAndDispatchLocked(lock, prediction_queue_);
+    }
   }
-  std::vector<DecisionOutput> outputs(n);
-  const uint64_t allocs_before = nn::AllocEvents();
-  snap.DecideBatch(states, outputs.data());
-  alloc_events.Add(static_cast<int64_t>(nn::AllocEvents() - allocs_before));
-
-  BatchSizeHistogram().Observe(static_cast<double>(n));
-  batches.Add();
-  model_version.Set(static_cast<double>(snap.version()));
+  // Stopped: complete everything still queued as kShutdown.
   const double now = NowSeconds();
-  for (size_t i = 0; i < n; ++i) {
-    DecisionReply reply;
-    reply.status = ServeStatus::kOk;
-    reply.output = outputs[i];
-    reply.model_version = snap.version();
-    reply.latency_s = now - batch[i].submit_s;
-    request_latency.Observe(reply.latency_s);
-    batch[i].promise.set_value(std::move(reply));
-  }
-  replies.Add(static_cast<int64_t>(n));
-}
-
-void DecisionService::ExecutePredictionBatch(
-    const ModelSnapshot& snap, std::vector<PendingPrediction>& batch) {
-  static obs::Histogram& exec_latency =
-      obs::MicroLatencyHistogram("serve.batch_exec");
-  static obs::Histogram& request_latency =
-      obs::MicroLatencyHistogram("serve.request_latency");
-  static obs::Counter& batches = obs::GetCounter("serve.batches");
-  static obs::Counter& replies = obs::GetCounter("serve.replies");
-  static obs::Counter& alloc_events = obs::GetCounter("serve.alloc_events");
-  static obs::Gauge& model_version = obs::GetGauge("serve.model_version");
-  HEAD_SPAN("serve.batch", exec_latency);
-
-  const size_t n = batch.size();
-  std::vector<const perception::StGraph*> graphs;
-  graphs.reserve(n);
-  for (const PendingPrediction& pending : batch) {
-    graphs.push_back(&pending.request.graph);
-  }
-  std::vector<perception::Prediction> predictions(n);
-  const uint64_t allocs_before = nn::AllocEvents();
-  snap.PredictBatch(graphs, predictions.data());
-  alloc_events.Add(static_cast<int64_t>(nn::AllocEvents() - allocs_before));
-
-  BatchSizeHistogram().Observe(static_cast<double>(n));
-  batches.Add();
-  model_version.Set(static_cast<double>(snap.version()));
-  const double now = NowSeconds();
-  for (size_t i = 0; i < n; ++i) {
-    PredictionReply reply;
-    reply.status = ServeStatus::kOk;
-    reply.prediction = predictions[i];
-    reply.model_version = snap.version();
-    reply.latency_s = now - batch[i].submit_s;
-    request_latency.Observe(reply.latency_s);
-    batch[i].promise.set_value(std::move(reply));
-  }
-  replies.Add(static_cast<int64_t>(n));
+  auto drain = [now](auto& queue) {
+    for (; !queue.empty(); queue.pop_front()) {
+      CompleteWithStatus(queue.front().promise, ServeStatus::kShutdown,
+                         now - queue.front().submit_s);
+    }
+  };
+  drain(decision_queue_);
+  drain(prediction_queue_);
 }
 
 }  // namespace head::serve

@@ -2,14 +2,24 @@
 // SubmitDecision/SubmitPrediction → std::future API; a network frontend
 // would sit in front of it and translate).
 //
+// One request lane, two kinds: decisions (BP-DQN) and predictions (LST-GAT)
+// each have their own queue, but every stage is one template over the kind —
+// submit, batch formation, dispatch, execution and the shutdown drain. A
+// kind differs only in its payload, its snapshot call (DecideBatch /
+// PredictBatch) and its reply field (output / prediction).
+//
 // Admission: a bounded queue with backpressure — submits beyond
-// `queue_capacity` are rejected immediately (kRejected) rather than queued
-// into unbounded latency. A single batcher thread collects requests of one
-// kind until `max_batch` are waiting or `batch_window_us` has elapsed since
-// the oldest admitted request, then dispatches one batched no-grad forward
-// onto the shared ThreadPool and scatters the replies into the per-request
-// futures. Requests whose deadline expired while queued complete as
-// kDeadlineExceeded at batch-formation time without consuming model compute.
+// `queue_capacity` (counted across both kinds) are rejected immediately
+// (kRejected) rather than queued into unbounded latency. A single batcher
+// thread serves the kind whose oldest request has waited longest: it collects
+// requests of that kind until `max_batch` are waiting or `batch_window_us`
+// has elapsed since the oldest one was admitted, then dispatches one batched
+// no-grad forward onto the shared ThreadPool and scatters the replies into
+// the per-request futures. Requests whose deadline expired while queued
+// complete as kDeadlineExceeded at batch-formation time without consuming
+// model compute. A batch with no model to run it — nothing published yet, or
+// a prediction against a snapshot published without a predictor — completes
+// as kUnavailable without touching the model.
 //
 // Model hot-swap: every batch pins the registry's Current() snapshot via
 // shared_ptr and dispatches under that snapshot's WaitToken, so a publisher
@@ -20,9 +30,9 @@
 // Observability (src/obs): serve.request_latency / serve.batch_exec µs-scale
 // histograms (p50/p95/p99), serve.batch_size histogram, serve.queue_depth
 // gauge, serve.requests / replies / batches / rejected / deadline_missed /
-// alloc_events counters, and one HEAD_SPAN("serve.batch", batch_exec) over
-// the batch hot path — profiler root, trace span and the serve.batch_exec
-// histogram from one clock pair.
+// unavailable / alloc_events counters, and one HEAD_SPAN("serve.batch",
+// batch_exec) over the batch hot path — profiler root, trace span and the
+// serve.batch_exec histogram from one clock pair.
 #ifndef HEAD_SERVE_SERVICE_H_
 #define HEAD_SERVE_SERVICE_H_
 
@@ -43,6 +53,7 @@ enum class ServeStatus {
   kRejected,          ///< admission queue full at submit time
   kDeadlineExceeded,  ///< deadline expired while queued
   kShutdown,          ///< service stopped before the request was served
+  kUnavailable,       ///< no published model (or predictor) for the kind
 };
 
 const char* ServeStatusName(ServeStatus status);
@@ -85,7 +96,7 @@ struct ServeConfig {
 /// can own all of its storage up front and never touch the allocator on the
 /// submit path — std::deque cycles one 512-byte block allocation per couple
 /// of queued requests at steady state. Callers must check size() against
-/// capacity before push_back (SubmitDecision/SubmitPrediction reject first).
+/// capacity before push_back (Submit rejects first).
 template <typename T>
 class BoundedRing {
  public:
@@ -116,8 +127,8 @@ class BoundedRing {
 
 class DecisionService {
  public:
-  /// `registry` must outlive the service and have a published Current()
-  /// before the first request completes. Batches run on
+  /// `registry` must outlive the service. Requests that reach execution
+  /// before the first Publish complete as kUnavailable. Batches run on
   /// parallel::ThreadPool::Global().
   DecisionService(ModelSnapshotRegistry* registry, const ServeConfig& config);
   ~DecisionService();  ///< implies Shutdown()
@@ -126,7 +137,8 @@ class DecisionService {
   DecisionService& operator=(const DecisionService&) = delete;
 
   /// Admission: the future completes with kOk + the model outputs, or with
-  /// kRejected (immediately, queue full), kDeadlineExceeded, or kShutdown.
+  /// kRejected (immediately, queue full), kDeadlineExceeded, kShutdown, or
+  /// kUnavailable.
   std::future<DecisionReply> SubmitDecision(DecisionRequest request);
   std::future<PredictionReply> SubmitPrediction(PredictionRequest request);
 
@@ -150,31 +162,38 @@ class DecisionService {
     double submit_s = 0.0;
     double deadline_s = 0.0;  ///< absolute, 0 = none
   };
-  using PendingDecision = Pending<DecisionRequest, DecisionReply>;
-  using PendingPrediction = Pending<PredictionRequest, PredictionReply>;
+  template <typename Request, typename Reply>
+  using Queue = BoundedRing<Pending<Request, Reply>>;
+  template <typename Request, typename Reply>
+  using Batch = std::vector<Pending<Request, Reply>>;
 
+  // The stages of the one request lane, each a template over the kind (all
+  // instantiated in service.cc).
+  template <typename Request, typename Reply>
+  std::future<Reply> Submit(Request request, Queue<Request, Reply>& queue);
   void BatcherLoop();
-  /// Collects one batch of the kind whose oldest request is oldest, honoring
-  /// the window/max_batch cut; returns false when stopping with empty queues.
-  bool FormAndDispatchLocked(std::unique_lock<std::mutex>& lock);
-
-  void DispatchDecisions(std::shared_ptr<const ModelSnapshot> snap,
-                         std::shared_ptr<std::vector<PendingDecision>> batch);
-  void DispatchPredictions(
-      std::shared_ptr<const ModelSnapshot> snap,
-      std::shared_ptr<std::vector<PendingPrediction>> batch);
-  void ExecuteDecisionBatch(const ModelSnapshot& snap,
-                            std::vector<PendingDecision>& batch);
-  void ExecutePredictionBatch(const ModelSnapshot& snap,
-                              std::vector<PendingPrediction>& batch);
+  /// Collects one batch from `queue` (non-empty), honoring the
+  /// window/max_batch cut and expiring lapsed deadlines, and dispatches it.
+  template <typename Request, typename Reply>
+  void FormAndDispatchLocked(std::unique_lock<std::mutex>& lock,
+                             Queue<Request, Reply>& queue);
+  template <typename Request, typename Reply>
+  void Dispatch(std::shared_ptr<const ModelSnapshot> snap,
+                std::shared_ptr<Batch<Request, Reply>> batch);
+  /// `snap` may be null (nothing published yet).
+  template <typename Request, typename Reply>
+  void Execute(const ModelSnapshot* snap, Batch<Request, Reply>& batch);
+  size_t QueuedLocked() const {
+    return decision_queue_.size() + prediction_queue_.size();
+  }
 
   ModelSnapshotRegistry* const registry_;
   const ServeConfig config_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  BoundedRing<PendingDecision> decision_queue_;
-  BoundedRing<PendingPrediction> prediction_queue_;
+  Queue<DecisionRequest, DecisionReply> decision_queue_;
+  Queue<PredictionRequest, PredictionReply> prediction_queue_;
   bool stop_ = false;
   bool paused_ = false;
 

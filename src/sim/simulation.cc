@@ -50,6 +50,7 @@ Simulation::Simulation(const SimConfig& config, uint64_t seed)
 }
 
 void Simulation::Reset(uint64_t seed) {
+  HEAD_SPAN("sim.reset");  // fleet respawn, nested under the episode scope
   rng_ = Rng(seed);
   status_ = EpisodeStatus::kRunning;
   step_count_ = 0;

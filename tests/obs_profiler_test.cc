@@ -272,12 +272,13 @@ TEST(ProfilerTest, MultiThreadedEnvPoolRollout) {
   parallel::EnvPool::RolloutOptions opts;
   opts.seed_base = 31;
   opts.max_steps_per_episode = 60;
+  constexpr int kEpisodes = 8;
 
   StartWallClockProfiling();
   {
     HEAD_SPAN("test.rollout");
-    const auto results = envs.RunEpisodes(*agent, 0, 8, opts);
-    EXPECT_EQ(results.size(), 8u);
+    const auto results = envs.RunEpisodes(*agent, 0, kEpisodes, opts);
+    EXPECT_EQ(results.size(), static_cast<size_t>(kEpisodes));
   }
   obs::StopProfiling();
   const obs::ProfileReport report = obs::CollectProfile();
@@ -291,13 +292,15 @@ TEST(ProfilerTest, MultiThreadedEnvPoolRollout) {
   EXPECT_NE(FindOp(report, "rl.act"), nullptr);
   EXPECT_GT(report.coverage, 0.0);
   // The simulator and sensor spans are rows of their own nested under
-  // env.step / env.perceive, and the env reports no other rows.
-  for (const char* nested : {"sim.step", "sensor.observe"}) {
+  // env.step / env.perceive / the episode scope (sim.reset: the fleet
+  // respawn, once per episode), and the env reports no other rows.
+  for (const char* nested : {"sim.step", "sensor.observe", "sim.reset"}) {
     const obs::OpStats* op = FindOp(report, nested);
     ASSERT_NE(op, nullptr) << nested;
     EXPECT_EQ(op->root_count, 0) << nested;
   }
   EXPECT_EQ(FindOp(report, "sim.step")->count, step->count);
+  EXPECT_EQ(FindOp(report, "sim.reset")->count, kEpisodes);
   for (const obs::OpStats& op : report.ops) {
     if (op.op.rfind("env.", 0) == 0) {
       EXPECT_TRUE(op.op == "env.step" || op.op == "env.perceive") << op.op;

@@ -1,14 +1,16 @@
 // Serving-layer tests: RCU snapshot publication/retirement, batched
 // decision/prediction parity with the underlying nets, the admission-control
-// statuses (rejection, deadline, shutdown), and the hot-swap hammer — four
-// client threads submitting while a publisher swaps versions, with every
-// reply required to be bitwise consistent with exactly one published
-// version. The hammer is the core TSan/ASan target of tools/check.sh.
+// statuses (rejection, deadline, shutdown — each for both request kinds —
+// and unavailable), and the hot-swap hammer — four client threads
+// interleaving both kinds while a publisher swaps versions, with every reply
+// required to be bitwise consistent with exactly one published version. The
+// hammer is the core TSan/ASan target of tools/check.sh.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <memory>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -217,82 +219,185 @@ TEST(DecisionServiceTest, ServesDecisionAndPredictionRequests) {
   }
 }
 
-TEST(DecisionServiceTest, DeadlineExpiredWhileQueuedReturnsDistinctStatus) {
-  Rng rng(23);
+// A no-model status reported before the first Publish and for predictions
+// against a snapshot published without a predictor — neither may abort the
+// process (the model is never touched) nor affect the other kind.
+TEST(DecisionServiceTest, MissingModelCompletesAsUnavailable) {
+  Rng rng(43);
   serve::ModelSnapshotRegistry registry(BpFactories());
+  serve::ServeConfig config;
+  config.batch_window_us = 0;
+  serve::DecisionService service(&registry, config);
+  const rl::AugmentedState state = RandomState(rng);
+  const perception::StGraph graph = RandomGraph(rng);
+  obs::Counter& unavailable = obs::GetCounter("serve.unavailable");
+  const int64_t unavailable_before = unavailable.value();
+
+  // Nothing published yet.
+  serve::DecisionReply reply = service.SubmitDecision({state, 0}).get();
+  EXPECT_EQ(reply.status, serve::ServeStatus::kUnavailable);
+  EXPECT_EQ(reply.model_version, 0u);
+
+  // Published without a predictor: predictions are unavailable, decisions
+  // still served.
   const rl::BpXNet x(kHidden, kAMax, rng);
   const rl::BpQNet q(kHidden, rng);
-  registry.Publish(x, q);
+  const std::shared_ptr<const serve::ModelSnapshot> snap =
+      registry.Publish(x, q);
+  ASSERT_FALSE(snap->has_predictor());
+  const serve::PredictionReply preply =
+      service.SubmitPrediction({graph, 0}).get();
+  EXPECT_EQ(preply.status, serve::ServeStatus::kUnavailable);
+  EXPECT_EQ(preply.model_version, 0u);
+  reply = service.SubmitDecision({state, 0}).get();
+  EXPECT_EQ(reply.status, serve::ServeStatus::kOk);
+  EXPECT_EQ(reply.model_version, snap->version());
+  EXPECT_EQ(unavailable.value(), unavailable_before + 2);
+  EXPECT_STREQ(serve::ServeStatusName(serve::ServeStatus::kUnavailable),
+               "unavailable");
+}
 
+// Both request kinds travel one lane, so every admission outcome is tested
+// once per kind.
+enum class RequestKind { kDecide, kPredict };
+
+/// Test listings name the instances …/decide and …/predict.
+void PrintTo(RequestKind kind, std::ostream* os) {
+  *os << (kind == RequestKind::kDecide ? "decide" : "predict");
+}
+
+struct Outcome {
+  serve::ServeStatus status;
+  uint64_t model_version;
+};
+
+/// One submitted request of either kind; Get() blocks for its outcome.
+struct Submitted {
+  std::future<serve::DecisionReply> decision;
+  std::future<serve::PredictionReply> prediction;
+
+  Outcome Get() {
+    if (decision.valid()) {
+      const serve::DecisionReply r = decision.get();
+      return {r.status, r.model_version};
+    }
+    const serve::PredictionReply r = prediction.get();
+    return {r.status, r.model_version};
+  }
+};
+
+class DecisionServiceKindTest : public ::testing::TestWithParam<RequestKind> {
+ protected:
+  DecisionServiceKindTest()
+      : rng_(23), registry_(BpFactories()), state_(RandomState(rng_)),
+        graph_(RandomGraph(rng_)) {
+    const rl::BpXNet x(kHidden, kAMax, rng_);
+    const rl::BpQNet q(kHidden, rng_);
+    const perception::LstGat predictor(SmallGatConfig(), rng_);
+    registry_.Publish(x, q, &predictor);
+  }
+
+  Submitted Submit(serve::DecisionService& service, int64_t deadline_us = 0) {
+    Submitted s;
+    if (GetParam() == RequestKind::kDecide) {
+      s.decision = service.SubmitDecision({state_, deadline_us});
+    } else {
+      s.prediction = service.SubmitPrediction({graph_, deadline_us});
+    }
+    return s;
+  }
+
+  Rng rng_;
+  serve::ModelSnapshotRegistry registry_;
+  rl::AugmentedState state_;
+  perception::StGraph graph_;
+};
+
+TEST_P(DecisionServiceKindTest,
+       DeadlineExpiredWhileQueuedReturnsDistinctStatus) {
   serve::ServeConfig config;
   config.max_batch = 4;                // never filled by one request…
   config.batch_window_us = 20000;      // …so the 20 ms window must lapse,
-  serve::DecisionService service(&registry, config);
+  serve::DecisionService service(&registry_, config);
 
   const int64_t missed_before =
       obs::GetCounter("serve.deadline_missed").value();
-  const rl::AugmentedState state = RandomState(rng);
-  std::future<serve::DecisionReply> fut =
-      service.SubmitDecision({state, /*deadline_us=*/1});  // …expiring this
-  const serve::DecisionReply reply = fut.get();
+  const Outcome reply =
+      Submit(service, /*deadline_us=*/1).Get();  // …expiring this
   EXPECT_EQ(reply.status, serve::ServeStatus::kDeadlineExceeded);
   EXPECT_EQ(reply.model_version, 0u);
   EXPECT_EQ(obs::GetCounter("serve.deadline_missed").value(),
             missed_before + 1);
 }
 
-TEST(DecisionServiceTest, QueueFullRejectsWithBackpressureStatus) {
-  Rng rng(29);
-  serve::ModelSnapshotRegistry registry(BpFactories());
-  const rl::BpXNet x(kHidden, kAMax, rng);
-  const rl::BpQNet q(kHidden, rng);
-  registry.Publish(x, q);
-
+TEST_P(DecisionServiceKindTest, QueueFullRejectsWithBackpressureStatus) {
   serve::ServeConfig config;
   config.max_batch = 8;
   config.batch_window_us = 100;
   config.queue_capacity = 2;
-  serve::DecisionService service(&registry, config);
+  serve::DecisionService service(&registry_, config);
   service.SetPausedForTest(true);  // nothing drains while we fill the queue
 
   const int64_t rejected_before = obs::GetCounter("serve.rejected").value();
-  const rl::AugmentedState state = RandomState(rng);
-  std::future<serve::DecisionReply> f1 = service.SubmitDecision({state, 0});
-  std::future<serve::DecisionReply> f2 = service.SubmitDecision({state, 0});
+  Submitted f1 = Submit(service);
+  Submitted f2 = Submit(service);
   EXPECT_EQ(service.queue_depth(), 2);
-  std::future<serve::DecisionReply> f3 = service.SubmitDecision({state, 0});
-  const serve::DecisionReply rejected = f3.get();  // ready immediately
-  EXPECT_EQ(rejected.status, serve::ServeStatus::kRejected);
+  EXPECT_EQ(Submit(service).Get().status,  // ready immediately
+            serve::ServeStatus::kRejected);
   EXPECT_EQ(obs::GetCounter("serve.rejected").value(), rejected_before + 1);
 
   service.SetPausedForTest(false);
-  EXPECT_EQ(f1.get().status, serve::ServeStatus::kOk);
-  EXPECT_EQ(f2.get().status, serve::ServeStatus::kOk);
+  EXPECT_EQ(f1.Get().status, serve::ServeStatus::kOk);
+  EXPECT_EQ(f2.Get().status, serve::ServeStatus::kOk);
 }
 
-TEST(DecisionServiceTest, ShutdownCompletesQueuedRequests) {
-  Rng rng(31);
+TEST_P(DecisionServiceKindTest, ShutdownCompletesQueuedRequests) {
+  serve::ServeConfig config;
+  serve::DecisionService service(&registry_, config);
+  service.SetPausedForTest(true);
+  Submitted queued = Submit(service);
+  service.Shutdown();
+  EXPECT_EQ(queued.Get().status, serve::ServeStatus::kShutdown);
+  // Post-shutdown submits complete immediately with the same status.
+  EXPECT_EQ(Submit(service).Get().status, serve::ServeStatus::kShutdown);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothKinds, DecisionServiceKindTest,
+    ::testing::Values(RequestKind::kDecide, RequestKind::kPredict));
+
+// The admission bound spans both kinds: predictions alone can fill it.
+TEST(DecisionServiceTest, AdmissionBoundSpansBothKinds) {
+  Rng rng(47);
   serve::ModelSnapshotRegistry registry(BpFactories());
   const rl::BpXNet x(kHidden, kAMax, rng);
   const rl::BpQNet q(kHidden, rng);
-  registry.Publish(x, q);
+  const perception::LstGat predictor(SmallGatConfig(), rng);
+  registry.Publish(x, q, &predictor);
 
   serve::ServeConfig config;
+  config.queue_capacity = 3;
   serve::DecisionService service(&registry, config);
   service.SetPausedForTest(true);
-  const rl::AugmentedState state = RandomState(rng);
-  std::future<serve::DecisionReply> queued =
-      service.SubmitDecision({state, 0});
-  service.Shutdown();
-  EXPECT_EQ(queued.get().status, serve::ServeStatus::kShutdown);
-  // Post-shutdown submits complete immediately with the same status.
-  EXPECT_EQ(service.SubmitDecision({state, 0}).get().status,
-            serve::ServeStatus::kShutdown);
+  const perception::StGraph graph = RandomGraph(rng);
+  std::vector<std::future<serve::PredictionReply>> predictions;
+  for (int i = 0; i < config.queue_capacity; ++i) {
+    predictions.push_back(service.SubmitPrediction({graph, 0}));
+  }
+  EXPECT_EQ(service.queue_depth(), config.queue_capacity);
+  EXPECT_EQ(service.SubmitDecision({RandomState(rng), 0}).get().status,
+            serve::ServeStatus::kRejected);
+
+  service.SetPausedForTest(false);
+  for (std::future<serve::PredictionReply>& f : predictions) {
+    EXPECT_EQ(f.get().status, serve::ServeStatus::kOk);
+  }
 }
 
-// The hot-swap hammer: four client threads submit decision requests over a
-// fixed state set while a publisher thread keeps swapping fresh weights in
-// (retiring old versions, keep=2). Every kOk reply must be *bitwise*
+// The hot-swap hammer: four client threads interleave decision and
+// prediction requests over fixed state/graph sets while a publisher thread
+// keeps swapping fresh weights (nets and predictor) in, retiring old
+// versions (keep=2). Every kOk reply of either kind must be *bitwise*
 // reproducible from the snapshot whose version it reports — no torn reads,
 // no mixed-version batches, no use-after-retire. Runs under TSan and ASan
 // in tools/check.sh.
@@ -302,24 +407,31 @@ TEST(ServeHotSwapTest, RepliesBitwiseConsistentWithOnePublishedVersion) {
   {
     const rl::BpXNet x0(kHidden, kAMax, rng);
     const rl::BpQNet q0(kHidden, rng);
-    registry.Publish(x0, q0);
+    const perception::LstGat p0(SmallGatConfig(), rng);
+    registry.Publish(x0, q0, &p0);
   }
 
-  constexpr int kStates = 8;
+  constexpr int kInputs = 8;
   std::vector<rl::AugmentedState> states;
-  for (int i = 0; i < kStates; ++i) states.push_back(RandomState(rng));
+  std::vector<perception::StGraph> graphs;
+  for (int i = 0; i < kInputs; ++i) {
+    states.push_back(RandomState(rng));
+    graphs.push_back(RandomGraph(rng));
+  }
 
   serve::ServeConfig config;
   config.max_batch = 8;
   config.batch_window_us = 100;
   serve::DecisionService service(&registry, config);
 
-  // Clients record (state index, reply); the publisher holds every snapshot
+  // Clients record (input index, reply); the publisher holds every snapshot
   // it published so the main thread can recompute references afterwards —
   // including against versions the registry has since retired.
   struct Observed {
-    int state_idx;
-    serve::DecisionReply reply;
+    int idx;
+    bool predict;
+    serve::DecisionReply decision;
+    serve::PredictionReply prediction;
   };
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 60;
@@ -332,7 +444,8 @@ TEST(ServeHotSwapTest, RepliesBitwiseConsistentWithOnePublishedVersion) {
     while (!clients_done.load(std::memory_order_acquire)) {
       const rl::BpXNet x(kHidden, kAMax, pub_rng);
       const rl::BpQNet q(kHidden, pub_rng);
-      snapshots.push_back(registry.Publish(x, q));
+      const perception::LstGat p(SmallGatConfig(), pub_rng);
+      snapshots.push_back(registry.Publish(x, q, &p));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -341,12 +454,15 @@ TEST(ServeHotSwapTest, RepliesBitwiseConsistentWithOnePublishedVersion) {
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kRequestsPerClient; ++i) {
-        const int idx = (t * 31 + i * 7) % kStates;
-        std::future<serve::DecisionReply> fut =
-            service.SubmitDecision({states[idx], 0});
-        const serve::DecisionReply reply = fut.get();
-        ASSERT_EQ(reply.status, serve::ServeStatus::kOk);
-        observed[t].push_back({idx, reply});
+        Observed o{(t * 31 + i * 7) % kInputs, (t + i) % 2 == 1, {}, {}};
+        if (o.predict) {
+          o.prediction = service.SubmitPrediction({graphs[o.idx], 0}).get();
+          ASSERT_EQ(o.prediction.status, serve::ServeStatus::kOk);
+        } else {
+          o.decision = service.SubmitDecision({states[o.idx], 0}).get();
+          ASSERT_EQ(o.decision.status, serve::ServeStatus::kOk);
+        }
+        observed[t].push_back(o);
       }
     });
   }
@@ -357,7 +473,7 @@ TEST(ServeHotSwapTest, RepliesBitwiseConsistentWithOnePublishedVersion) {
 
   // Resolve each reply's claimed version from the publisher's log. The
   // pre-hammer version 1 isn't in the log — replies against it are skipped
-  // (the EXPECT_GT(checked, 0) below still demands swapped-version replies).
+  // (the EXPECT_GT checks below still demand swapped-version replies).
   auto resolve = [&](uint64_t version)
       -> std::shared_ptr<const serve::ModelSnapshot> {
     for (const auto& snap : snapshots) {
@@ -366,26 +482,41 @@ TEST(ServeHotSwapTest, RepliesBitwiseConsistentWithOnePublishedVersion) {
     return nullptr;
   };
 
-  int checked = 0;
+  int checked_decisions = 0;
+  int checked_predictions = 0;
   for (const std::vector<Observed>& per_client : observed) {
     ASSERT_EQ(per_client.size(), static_cast<size_t>(kRequestsPerClient));
     for (const Observed& obs : per_client) {
       const std::shared_ptr<const serve::ModelSnapshot> snap =
-          resolve(obs.reply.model_version);
+          resolve(obs.predict ? obs.prediction.model_version
+                              : obs.decision.model_version);
       if (snap == nullptr) continue;  // the pre-hammer version 1
-      serve::DecisionOutput expected;
-      snap->DecideBatch({&states[obs.state_idx]}, &expected);
-      ASSERT_EQ(obs.reply.output.behavior, expected.behavior);
-      ASSERT_EQ(obs.reply.output.accel, expected.accel);
-      for (int c = 0; c < rl::kNumBehaviors; ++c) {
-        ASSERT_EQ(obs.reply.output.q[c], expected.q[c]);
-        ASSERT_EQ(obs.reply.output.params[c], expected.params[c]);
+      if (obs.predict) {
+        perception::Prediction expected;
+        snap->PredictBatch({&graphs[obs.idx]}, &expected);
+        for (int a = 0; a < perception::kNumAreas; ++a) {
+          ASSERT_EQ(obs.prediction.prediction[a].d_lat_m, expected[a].d_lat_m);
+          ASSERT_EQ(obs.prediction.prediction[a].d_lon_m, expected[a].d_lon_m);
+          ASSERT_EQ(obs.prediction.prediction[a].v_rel_mps,
+                    expected[a].v_rel_mps);
+        }
+        ++checked_predictions;
+        continue;
       }
-      ++checked;
+      serve::DecisionOutput expected;
+      snap->DecideBatch({&states[obs.idx]}, &expected);
+      ASSERT_EQ(obs.decision.output.behavior, expected.behavior);
+      ASSERT_EQ(obs.decision.output.accel, expected.accel);
+      for (int c = 0; c < rl::kNumBehaviors; ++c) {
+        ASSERT_EQ(obs.decision.output.q[c], expected.q[c]);
+        ASSERT_EQ(obs.decision.output.params[c], expected.params[c]);
+      }
+      ++checked_decisions;
     }
   }
-  // The hammer must actually have exercised swapped versions.
-  EXPECT_GT(checked, 0);
+  // The hammer must actually have exercised swapped versions of both kinds.
+  EXPECT_GT(checked_decisions, 0);
+  EXPECT_GT(checked_predictions, 0);
   EXPECT_GT(snapshots.size(), 1u);
 }
 

@@ -134,6 +134,7 @@ struct ClientStats {
   int64_t rejected = 0;
   int64_t deadline = 0;
   int64_t shutdown = 0;
+  int64_t unavailable = 0;
   uint64_t min_version = 0;
   uint64_t max_version = 0;
 
@@ -154,6 +155,9 @@ struct ClientStats {
       case serve::ServeStatus::kShutdown:
         ++shutdown;
         break;
+      case serve::ServeStatus::kUnavailable:
+        ++unavailable;
+        break;
     }
   }
 
@@ -164,6 +168,7 @@ struct ClientStats {
     rejected += other.rejected;
     deadline += other.deadline;
     shutdown += other.shutdown;
+    unavailable += other.unavailable;
     if (other.min_version != 0 &&
         (min_version == 0 || other.min_version < min_version)) {
       min_version = other.min_version;
@@ -321,7 +326,8 @@ int main(int argc, char** argv) {
   std::cout << "served " << stats.ok << "/" << requests << " ok in " << elapsed
             << "s (" << static_cast<double>(stats.ok) / elapsed << " req/s)\n"
             << "rejected " << stats.rejected << ", deadline_exceeded "
-            << stats.deadline << ", shutdown " << stats.shutdown << "\n"
+            << stats.deadline << ", shutdown " << stats.shutdown
+            << ", unavailable " << stats.unavailable << "\n"
             << "latency p50 " << QuantileUs(stats.latencies_s, 0.50)
             << "us, p90 " << QuantileUs(stats.latencies_s, 0.90) << "us, p95 "
             << QuantileUs(stats.latencies_s, 0.95) << "us, p99 "
