@@ -1,12 +1,11 @@
 // Training-hot-path throughput: RL transitions/sec through PdqnAgent::Update
-// and prediction samples/sec through TrainPredictor, each measured on the
-// per-sample reference path and the vectorized minibatch path. Emits JSON
-// (--json-out) and optionally gates against a checked-in baseline
+// and prediction samples/sec through TrainPredictor, both minibatch paths.
+// Emits JSON (--json-out) and optionally gates against a checked-in baseline
 // (--baseline, --max-regress) so CI catches throughput regressions.
 //
 // Usage:
 //   training_throughput [--json-out=path] [--baseline=path]
-//                       [--max-regress=0.30] [--skip-per-sample] [--trials=N]
+//                       [--max-regress=0.30] [--trials=N]
 //                       [--kernel=scalar|avx2] [--skip-gemm]
 //                       [--profile-out=path] [--min-profile-coverage=0.95]
 //
@@ -67,9 +66,8 @@ head::rl::AugmentedState RandomState(Rng& rng) {
 
 /// Transitions/sec of PdqnAgent::Update on a warmed-up replay buffer (each
 /// update consumes one minibatch through critic + actor).
-double MeasureRlThroughput(bool batched, int updates) {
+double MeasureRlThroughput(int updates) {
   head::rl::PdqnConfig config;  // paper-scale nets: hidden 64, batch 64
-  config.batched_updates = batched;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -103,7 +101,6 @@ double MeasureRlThroughput(bool batched, int updates) {
 /// outside the tape — they are not counted here by design.
 double MeasureRlSteadyAllocs(int warmup_updates, int measured_updates) {
   head::rl::PdqnConfig config;
-  config.batched_updates = true;
   Rng init(11);
   auto agent = head::rl::MakeBpDqnAgent(config, init);
 
@@ -159,8 +156,7 @@ std::vector<head::perception::PredictionSample> MakeSamples(int count, int z,
 /// Samples/sec of TrainPredictor over LST-GAT at paper-scale widths.
 /// Warmup-then-measure: one untimed TrainPredictor call warms the arena and
 /// tensor pool, so the timed call measures the steady state.
-double MeasurePredictionThroughput(bool batched, int sample_count,
-                                   int epochs) {
+double MeasurePredictionThroughput(int sample_count, int epochs) {
   head::perception::LstGatConfig net_config;  // defaults: 64-wide, as paper
   Rng init(7);
   head::perception::LstGat model(net_config, init);
@@ -169,7 +165,6 @@ double MeasurePredictionThroughput(bool batched, int sample_count,
 
   head::perception::PredictionTrainConfig config;
   config.epochs = epochs;
-  config.batched = batched;
   head::perception::TrainPredictor(model, samples, config);  // warmup
   const double t0 = Now();
   head::perception::TrainPredictor(model, samples, config);
@@ -189,7 +184,6 @@ double MeasurePredSteadyAllocs(int sample_count) {
 
   head::perception::PredictionTrainConfig config;
   config.epochs = 1;
-  config.batched = true;
   // Two warmup epochs: the first fills the pool; the second runs the
   // measured path itself once so the pool holds every buffer that path
   // keeps in rotation. Only then is a step "warm".
@@ -368,7 +362,6 @@ int main(int argc, char** argv) {
   const int pred_epochs = paper ? 4 : 1;
   const int trials =
       static_cast<int>(ArgValue(argc, argv, "--trials", paper ? 2 : 3));
-  const bool skip_per_sample = HasFlag(argc, argv, "--skip-per-sample");
   const int rollout_envs = paper ? 8 : 4;
   const int rollout_episodes = paper ? 32 : 12;
 
@@ -444,13 +437,11 @@ int main(int argc, char** argv) {
               << "x\n";
   }
 
-  const double rl_batched = BestOf(trials, [&] {
-    return MeasureRlThroughput(/*batched=*/true, rl_updates);
-  });
+  const double rl_batched =
+      BestOf(trials, [&] { return MeasureRlThroughput(rl_updates); });
   std::cout << "rl batched:       " << rl_batched << " transitions/sec\n";
   const double pred_batched = BestOf(trials, [&] {
-    return MeasurePredictionThroughput(/*batched=*/true, pred_samples,
-                                       pred_epochs);
+    return MeasurePredictionThroughput(pred_samples, pred_epochs);
   });
   std::cout << "pred batched:     " << pred_batched << " samples/sec\n";
   const double rollout = BestOf(trials, [&] {
@@ -467,24 +458,6 @@ int main(int argc, char** argv) {
   std::cout << "rl steady allocs:   " << rl_allocs << " events/update\n";
   std::cout << "pred steady allocs: " << pred_allocs << " events/step\n";
 
-  double rl_per_sample = 0.0;
-  double pred_per_sample = 0.0;
-  if (!skip_per_sample) {
-    rl_per_sample = BestOf(trials, [&] {
-      return MeasureRlThroughput(/*batched=*/false, rl_updates);
-    });
-    std::cout << "rl per-sample:    " << rl_per_sample
-              << " transitions/sec (speedup "
-              << rl_batched / rl_per_sample << "x)\n";
-    pred_per_sample = BestOf(trials, [&] {
-      return MeasurePredictionThroughput(/*batched=*/false, pred_samples,
-                                         pred_epochs);
-    });
-    std::cout << "pred per-sample:  " << pred_per_sample
-              << " samples/sec (speedup " << pred_batched / pred_per_sample
-              << "x)\n";
-  }
-
   std::ostringstream json;
   json.precision(6);
   json << "{\"profile\":\"" << (paper ? "paper" : "fast") << "\","
@@ -497,13 +470,7 @@ int main(int argc, char** argv) {
        << "\"rollout_envs\":" << rollout_envs << ","
        << "\"rollout_env_steps_per_sec\":" << rollout << ","
        << "\"rl_transitions_per_sec_batched\":" << rl_batched << ","
-       << "\"rl_transitions_per_sec_per_sample\":" << rl_per_sample << ","
-       << "\"rl_speedup\":"
-       << (rl_per_sample > 0 ? rl_batched / rl_per_sample : 0.0) << ","
        << "\"pred_samples_per_sec_batched\":" << pred_batched << ","
-       << "\"pred_samples_per_sec_per_sample\":" << pred_per_sample << ","
-       << "\"pred_speedup\":"
-       << (pred_per_sample > 0 ? pred_batched / pred_per_sample : 0.0) << ","
        << "\"rl_allocs_per_step_steady\":" << rl_allocs << ","
        << "\"pred_allocs_per_step_steady\":" << pred_allocs << "}";
 
@@ -599,8 +566,8 @@ int main(int argc, char** argv) {
   if (!profile_out.empty()) {
     kernels::CalibrateProfilerRoofline();  // before Start: no stat pollution
     head::obs::StartProfiling();
-    MeasureRlThroughput(/*batched=*/true, rl_updates);
-    MeasurePredictionThroughput(/*batched=*/true, pred_samples, pred_epochs);
+    MeasureRlThroughput(rl_updates);
+    MeasurePredictionThroughput(pred_samples, pred_epochs);
     MeasureRolloutThroughput(rollout_envs, std::max(2, rollout_episodes / 4));
     head::obs::StopProfiling();
     const head::obs::ProfileReport report = head::obs::CollectProfile();

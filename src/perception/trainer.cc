@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -107,6 +108,8 @@ PredictionTrainResult TrainPredictor(
       obs::GetGauge("perception.train.epoch_rmse");
   static obs::Histogram& epoch_latency =
       obs::LatencyHistogram("perception.train.epoch");
+  static obs::Counter& nonfinite_steps =
+      obs::GetCounter("perception.train.nonfinite_steps");
 
   PredictionTrainResult result;
   const auto start = std::chrono::steady_clock::now();
@@ -114,38 +117,33 @@ PredictionTrainResult TrainPredictor(
     HEAD_SPAN("perception.train.epoch", epoch_latency);
     std::shuffle(order.begin(), order.end(), rng.engine());
     double epoch_loss = 0.0;
+    size_t stepped_samples = 0;
     for (size_t b = 0; b < order.size(); b += config.batch_size) {
       HEAD_SPAN("perception.train.step");
       const size_t end = std::min(order.size(), b + config.batch_size);
       nn::ResetTape();  // steady state: the whole batch reuses recycled nodes
       opt.ZeroGrad();
-      double step_loss;
-      if (config.batched) {
-        std::vector<const PredictionSample*> batch;
-        batch.reserve(end - b);
-        for (size_t k = b; k < end; ++k) batch.push_back(&train[order[k]]);
-        const nn::Var batch_loss = BatchLoss(model, batch);
-        step_loss = batch_loss.value()[0];
-        nn::Backward(batch_loss);
-      } else {
-        std::vector<nn::Var> losses;
-        losses.reserve(end - b);
-        for (size_t k = b; k < end; ++k) {
-          losses.push_back(SampleLoss(model, train[order[k]]));
-        }
-        nn::Var batch_loss = losses[0];
-        for (size_t k = 1; k < losses.size(); ++k) {
-          batch_loss = nn::Add(batch_loss, losses[k]);
-        }
-        batch_loss = nn::Scale(batch_loss, 1.0 / losses.size());
-        step_loss = batch_loss.value()[0];
-        nn::Backward(batch_loss);
+      std::vector<const PredictionSample*> batch;
+      batch.reserve(end - b);
+      for (size_t k = b; k < end; ++k) batch.push_back(&train[order[k]]);
+      const nn::Var batch_loss = BatchLoss(model, batch);
+      const double step_loss = batch_loss.value()[0];
+      nn::Backward(batch_loss);
+      // A non-finite loss or gradient norm (e.g. a NaN truth on a valid
+      // target) skips the step: clipping would scale every gradient by NaN
+      // and Adam would write it into every parameter.
+      const double grad_norm = opt.ClipGradNorm(5.0);
+      if (!std::isfinite(step_loss) || !std::isfinite(grad_norm)) {
+        nonfinite_steps.Add();
+        continue;
       }
-      epoch_loss += step_loss * (end - b);
-      opt.ClipGradNorm(5.0);
       opt.Step();
+      epoch_loss += step_loss * (end - b);
+      stepped_samples += end - b;
     }
-    epoch_loss /= train.size();
+    epoch_loss = stepped_samples > 0
+                     ? epoch_loss / stepped_samples
+                     : std::numeric_limits<double>::quiet_NaN();
     epochs_counter.Add();
     loss_gauge.Set(epoch_loss);
     rmse_gauge.Set(std::sqrt(std::max(epoch_loss, 0.0)));

@@ -18,10 +18,6 @@ struct PredictionTrainConfig {
   int batch_size = 64;
   uint64_t shuffle_seed = 7;
   bool verbose = false;
-  /// Vectorized minibatch updates: one ForwardScaledBatch graph per
-  /// minibatch instead of one graph per sample. Same objective (gradient-
-  /// parity tested); the per-sample path is kept as a reference.
-  bool batched = true;
   /// Optional training-curve sink (not owned; must outlive the call). When
   /// set, every epoch appends one row: epoch index, mean masked scaled MSE,
   /// and its RMSE.
@@ -29,7 +25,10 @@ struct PredictionTrainConfig {
 };
 
 struct PredictionTrainResult {
-  std::vector<double> epoch_losses;          // mean masked scaled MSE
+  /// Mean masked scaled MSE over the minibatches that took a step (a step
+  /// with a non-finite loss or gradient norm is skipped and counted in
+  /// perception.train.nonfinite_steps).
+  std::vector<double> epoch_losses;
   std::vector<double> epoch_elapsed_seconds; // cumulative wall-clock
   /// Wall-clock until the first epoch whose loss is within 5% of the best —
   /// the "training convergence time" (TCT) of Table IV.

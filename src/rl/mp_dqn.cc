@@ -1,5 +1,7 @@
 #include "rl/mp_dqn.h"
 
+#include "common/check.h"
+
 namespace head::rl {
 
 MultiPassQNet::MultiPassQNet(int hidden, Rng& rng)
@@ -7,17 +9,19 @@ MultiPassQNet::MultiPassQNet(int hidden, Rng& rng)
       mid_(2 * hidden, hidden, rng),
       out_(hidden, kNumBehaviors, rng) {}
 
-nn::Var MultiPassQNet::Forward(const AugmentedState& s,
-                               const nn::Var& x) const {
-  const nn::Var flat = nn::Var::Constant(FlattenState(s));
+nn::Var MultiPassQNet::ForwardBatch(
+    const std::vector<const AugmentedState*>& batch, const nn::Var& x) const {
+  const int rows = static_cast<int>(batch.size());
+  HEAD_CHECK_EQ(x.value().rows(), rows);
+  const nn::Var flat = nn::Var::Constant(FlattenStates(batch));
   std::vector<nn::Var> q_cols;
   q_cols.reserve(kNumBehaviors);
   for (int b = 0; b < kNumBehaviors; ++b) {
-    // Mask x to the b-th parameter only: x ⊙ e_b (differentiable — the
-    // gradient reaches exactly that parameter).
-    nn::Tensor mask(1, kNumBehaviors);
-    mask.At(0, b) = 1.0;
-    const nn::Var masked = nn::Mul(x, nn::Var::Constant(mask));
+    // Mask every row of x to its b-th parameter: x ⊙ e_b (differentiable —
+    // the gradient reaches exactly that parameter of that row).
+    nn::Tensor mask(rows, kNumBehaviors);
+    for (int r = 0; r < rows; ++r) mask.At(r, b) = 1.0;
+    const nn::Var masked = nn::Mul(x, nn::Var::Constant(std::move(mask)));
     const nn::Var q_all = out_.Forward(nn::LeakyRelu(
         mid_.Forward(nn::LeakyRelu(
             in_.Forward(nn::ConcatCols({flat, masked}))))));

@@ -14,11 +14,13 @@
 namespace head::rl {
 
 /// Multi-pass critic: Q(s, x)[b] = f(s, x ⊙ e_b)[b], one forward pass per
-/// behavior with the other parameters masked to zero.
+/// behavior over the whole minibatch with the other parameters masked to
+/// zero.
 class MultiPassQNet : public QNet {
  public:
   MultiPassQNet(int hidden, Rng& rng);
-  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
+  nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
+                       const nn::Var& x) const override;
   std::vector<nn::Var> Params() const override;
 
  private:

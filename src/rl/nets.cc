@@ -28,28 +28,6 @@ nn::Tensor StackBlocks(const std::vector<const AugmentedState*>& batch,
 
 }  // namespace
 
-nn::Var XNet::ForwardBatch(
-    const std::vector<const AugmentedState*>& batch) const {
-  HEAD_CHECK(!batch.empty());
-  std::vector<nn::Var> rows;
-  rows.reserve(batch.size());
-  for (const AugmentedState* s : batch) rows.push_back(Forward(*s));
-  return nn::ConcatRows(rows);
-}
-
-nn::Var QNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
-                           const nn::Var& x) const {
-  HEAD_CHECK(!batch.empty());
-  HEAD_CHECK_EQ(x.value().rows(), static_cast<int>(batch.size()));
-  std::vector<nn::Var> rows;
-  rows.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int r = static_cast<int>(i);
-    rows.push_back(Forward(*batch[i], nn::SliceRows(x, r, r + 1)));
-  }
-  return nn::ConcatRows(rows);
-}
-
 BranchEncoder::BranchEncoder(int rows, int hidden, Rng& rng)
     : rows_(rows),
       l1_(perception::kFeatureDim, hidden, rng),
@@ -61,10 +39,6 @@ BranchEncoder::BranchEncoder(int rows, int hidden, Rng& rng)
     nn::Tensor& b = p.mutable_value();
     for (int i = 0; i < b.size(); ++i) b[i] = 0.1;
   }
-}
-
-nn::Var BranchEncoder::Forward(const nn::Tensor& block) const {
-  return ForwardStacked(block, /*batch=*/1);
 }
 
 nn::Var BranchEncoder::ForwardStacked(const nn::Tensor& blocks,
@@ -97,10 +71,6 @@ BpXNet::BpXNet(int hidden, double a_max, Rng& rng)
   for (int i = 0; i < w.size(); ++i) w[i] *= 0.1;
 }
 
-nn::Var BpXNet::Forward(const AugmentedState& s) const {
-  return ForwardBatch({&s});
-}
-
 nn::Var BpXNet::ForwardBatch(
     const std::vector<const AugmentedState*>& batch) const {
   const int b = static_cast<int>(batch.size());
@@ -130,10 +100,6 @@ BpQNet::BpQNet(int hidden, Rng& rng)
     nn::Tensor& b = p.mutable_value();
     for (int i = 0; i < b.size(); ++i) b[i] = 0.1;
   }
-}
-
-nn::Var BpQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
-  return ForwardBatch({&s}, x);
 }
 
 nn::Var BpQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
@@ -168,11 +134,6 @@ FlatXNet::FlatXNet(int hidden, double a_max, Rng& rng)
   for (int i = 0; i < w.size(); ++i) w[i] *= 0.1;
 }
 
-nn::Var FlatXNet::Forward(const AugmentedState& s) const {
-  const nn::Var flat = nn::Var::Constant(FlattenState(s));
-  return nn::Scale(nn::Tanh(mlp_.Forward(flat)), a_max_);
-}
-
 nn::Var FlatXNet::ForwardBatch(
     const std::vector<const AugmentedState*>& batch) const {
   const nn::Var flat = nn::Var::Constant(FlattenStates(batch));
@@ -186,17 +147,11 @@ FlatQNet::FlatQNet(int hidden, Rng& rng)
       mid_(2 * hidden, hidden, rng),
       out_(hidden, kNumBehaviors, rng) {}
 
-nn::Var FlatQNet::Forward(const AugmentedState& s, const nn::Var& x) const {
-  // The wrong-weight-sharing structure the paper improves on: raw state
-  // features and the action parameters enter one shared layer.
-  const nn::Var joint = nn::ConcatCols({nn::Var::Constant(FlattenState(s)), x});
-  return out_.Forward(mid_.Forward(
-      in_.Forward(joint, nn::FusedAct::kRelu), nn::FusedAct::kRelu));
-}
-
 nn::Var FlatQNet::ForwardBatch(const std::vector<const AugmentedState*>& batch,
                                const nn::Var& x) const {
   HEAD_CHECK_EQ(x.value().rows(), static_cast<int>(batch.size()));
+  // The wrong-weight-sharing structure the paper improves on: raw state
+  // features and the action parameters enter one shared layer.
   const nn::Var joint =
       nn::ConcatCols({nn::Var::Constant(FlattenStates(batch)), x});
   return out_.Forward(mid_.Forward(

@@ -20,12 +20,10 @@ namespace head::rl {
 class XNet : public nn::Module {
  public:
   ~XNet() override = default;
-  virtual nn::Var Forward(const AugmentedState& s) const = 0;
-  /// Minibatch forward: one autograd graph over all B states, (B×3) output.
-  /// The default stacks per-sample Forward results; the concrete nets
-  /// override it with a genuinely vectorized pass.
+  /// One autograd graph over all B states, (B×3) output. A single state is
+  /// the batch `{&s}`; row i depends on state i only.
   virtual nn::Var ForwardBatch(
-      const std::vector<const AugmentedState*>& batch) const;
+      const std::vector<const AugmentedState*>& batch) const = 0;
 };
 
 /// Action-value network Q(s, x; θQ): three Q values, one per behavior.
@@ -33,21 +31,18 @@ class XNet : public nn::Module {
 class QNet : public nn::Module {
  public:
   ~QNet() override = default;
-  virtual nn::Var Forward(const AugmentedState& s, const nn::Var& x) const = 0;
-  /// Minibatch forward; `x` is (B×3) and gradients still flow through it.
+  /// `x` is (B×3) and gradients still flow through it; (B×3) output.
   virtual nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
-                               const nn::Var& x) const;
+                               const nn::Var& x) const = 0;
 };
 
 /// Per-vehicle branch of Eq. (24)/(26): ReLU(φ_b·ReLU(φ_a·X + b_a) + b_b)
-/// applied row-wise to a (rows×4) block, yielding one scalar per vehicle,
-/// returned as a (1×rows) row.
+/// applied row-wise to (rows×4) blocks, yielding one scalar per vehicle.
 class BranchEncoder : public nn::Module {
  public:
   BranchEncoder(int rows, int hidden, Rng& rng);
-  nn::Var Forward(const nn::Tensor& block) const;
-  /// Vectorized over a minibatch: `blocks` is B per-state blocks stacked
-  /// row-wise ((B·rows)×4); returns (B×rows), one reduced row per state.
+  /// `blocks` is B per-state blocks stacked row-wise ((B·rows)×4); returns
+  /// (B×rows), one reduced row per state.
   nn::Var ForwardStacked(const nn::Tensor& blocks, int batch) const;
   std::vector<nn::Var> Params() const override;
   int rows() const { return rows_; }
@@ -63,8 +58,7 @@ class BranchEncoder : public nn::Module {
 class BpXNet : public XNet {
  public:
   BpXNet(int hidden, double a_max, Rng& rng);
-  nn::Var Forward(const AugmentedState& s) const override;  // Eq. (25)
-  nn::Var ForwardBatch(
+  nn::Var ForwardBatch(  // Eq. (25)
       const std::vector<const AugmentedState*>& batch) const override;
   std::vector<nn::Var> Params() const override;
 
@@ -78,7 +72,6 @@ class BpXNet : public XNet {
 class BpQNet : public QNet {
  public:
   BpQNet(int hidden, Rng& rng);
-  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
   std::vector<nn::Var> Params() const override;
@@ -102,7 +95,6 @@ class BpQNet : public QNet {
 class FlatXNet : public XNet {
  public:
   FlatXNet(int hidden, double a_max, Rng& rng);
-  nn::Var Forward(const AugmentedState& s) const override;
   nn::Var ForwardBatch(
       const std::vector<const AugmentedState*>& batch) const override;
   std::vector<nn::Var> Params() const override;
@@ -115,7 +107,6 @@ class FlatXNet : public XNet {
 class FlatQNet : public QNet {
  public:
   FlatQNet(int hidden, Rng& rng);
-  nn::Var Forward(const AugmentedState& s, const nn::Var& x) const override;
   nn::Var ForwardBatch(const std::vector<const AugmentedState*>& batch,
                        const nn::Var& x) const override;
   std::vector<nn::Var> Params() const override;

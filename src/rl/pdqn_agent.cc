@@ -1,6 +1,8 @@
 #include "rl/pdqn_agent.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -20,10 +22,20 @@ int ArgMax(const nn::Tensor& row) {
   return best;
 }
 
-double MaxVal(const nn::Tensor& row) {
-  double m = row.At(0, 0);
-  for (int c = 1; c < row.cols(); ++c) m = std::max(m, row.At(0, c));
-  return m;
+/// Clips the gradients and steps `opt`, unless the loss or the gradient norm
+/// is non-finite: clipping a NaN norm scales every gradient by NaN, and Adam
+/// would write it into every parameter. A skipped step is counted and leaves
+/// the parameters and the optimizer state as they were. Returns the pre-clip
+/// norm of a step that was taken.
+std::optional<double> ClipAndStep(nn::Adam& opt, double loss) {
+  const double grad_norm = opt.ClipGradNorm(10.0);
+  if (!std::isfinite(loss) || !std::isfinite(grad_norm)) {
+    static obs::Counter& nonfinite = obs::GetCounter("rl.nonfinite_updates");
+    nonfinite.Add();
+    return std::nullopt;
+  }
+  opt.Step();
+  return grad_norm;
 }
 
 }  // namespace
@@ -49,11 +61,11 @@ AgentAction PdqnAgent::Act(const AugmentedState& state, double epsilon,
   HEAD_SPAN("rl.act");  // profiler root for action selection
   nn::ResetTape();  // recycle the previous action's graph nodes
   const nn::NoGradGuard no_grad;  // action selection never backprops
-  nn::Tensor x = x_->Forward(state).value();  // (1×3)
+  nn::Tensor x = x_->ForwardBatch({&state}).value();  // (1×3)
 
   // Critic evaluation, shared by the greedy branch and the audit trail.
   const auto critic_q = [&](const nn::Tensor& xin) -> nn::Tensor {
-    return q_->Forward(state, nn::Var::Constant(xin)).value();
+    return q_->ForwardBatch({&state}, nn::Var::Constant(xin)).value();
   };
 
   int b;
@@ -129,71 +141,6 @@ void PdqnAgent::Remember(const AugmentedState& state,
 void PdqnAgent::UpdateCritic(const std::vector<const Transition*>& batch) {
   HEAD_SPAN("rl.update_critic");
   nn::ResetTape();  // steady state: the whole update reuses recycled nodes
-  if (config_.batched_updates) {
-    UpdateCriticBatched(batch);
-    return;
-  }
-  q_opt_.ZeroGrad();
-  std::vector<nn::Var> losses;
-  losses.reserve(batch.size());
-  for (const Transition* t : batch) {
-    double y = t->reward;
-    if (!t->terminal) {
-      const nn::Var x_next = x_target_->Forward(t->next_state);
-      const nn::Tensor q_next =
-          q_target_->Forward(t->next_state, x_next).value();
-      y += config_.gamma * MaxVal(q_next);
-    }
-    const nn::Var q_all =
-        q_->Forward(t->state, nn::Var::Constant(t->params));
-    const nn::Var q_b = nn::SliceCols(q_all, t->behavior, t->behavior + 1);
-    losses.push_back(nn::Scale(nn::Square(nn::AddScalar(q_b, -y)), 0.5));
-  }
-  nn::Var loss = losses[0];
-  for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
-  loss = nn::Scale(loss, 1.0 / losses.size());
-  nn::Backward(loss);
-  const double grad_norm = q_opt_.ClipGradNorm(10.0);
-  q_opt_.Step();
-
-  static obs::Histogram& loss_hist = obs::GetHistogram(
-      "rl.critic_loss", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  static obs::Histogram& norm_hist = obs::GetHistogram(
-      "rl.grad_norm.critic", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  loss_hist.Observe(loss.value()[0]);
-  norm_hist.Observe(grad_norm);
-}
-
-void PdqnAgent::UpdateActor(const std::vector<const Transition*>& batch) {
-  HEAD_SPAN("rl.update_actor");
-  nn::ResetTape();  // the critic pass's tape is spent at this point
-  if (config_.batched_updates) {
-    UpdateActorBatched(batch);
-    return;
-  }
-  x_opt_.ZeroGrad();
-  q_->ZeroGrad();  // critic grads from this pass are discarded
-  std::vector<nn::Var> losses;
-  losses.reserve(batch.size());
-  for (const Transition* t : batch) {
-    const nn::Var x = x_->Forward(t->state);
-    const nn::Var q_all = q_->Forward(t->state, x);
-    losses.push_back(nn::Scale(nn::Sum(q_all), -1.0));  // Eq. (23)
-  }
-  nn::Var loss = losses[0];
-  for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
-  loss = nn::Scale(loss, 1.0 / losses.size());
-  nn::Backward(loss);
-  const double grad_norm = x_opt_.ClipGradNorm(10.0);
-  x_opt_.Step();
-
-  static obs::Histogram& norm_hist = obs::GetHistogram(
-      "rl.grad_norm.actor", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  norm_hist.Observe(grad_norm);
-}
-
-void PdqnAgent::UpdateCriticBatched(
-    const std::vector<const Transition*>& batch) {
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
   std::vector<const AugmentedState*> next_states(b);
@@ -238,19 +185,20 @@ void PdqnAgent::UpdateCriticBatched(
       0.5 / b);
   nn::Backward(loss);
   const double loss_val = loss.value()[0];
-  const double grad_norm = q_opt_.ClipGradNorm(10.0);
-  q_opt_.Step();
+  const std::optional<double> grad_norm = ClipAndStep(q_opt_, loss_val);
+  if (!grad_norm) return;  // skipped: keeps NaN out of the histograms
 
   static obs::Histogram& loss_hist = obs::GetHistogram(
       "rl.critic_loss", obs::CachedExponentialBounds(1e-4, 2.0, 28));
   static obs::Histogram& norm_hist = obs::GetHistogram(
       "rl.grad_norm.critic", obs::CachedExponentialBounds(1e-4, 2.0, 28));
   loss_hist.Observe(loss_val);
-  norm_hist.Observe(grad_norm);
+  norm_hist.Observe(*grad_norm);
 }
 
-void PdqnAgent::UpdateActorBatched(
-    const std::vector<const Transition*>& batch) {
+void PdqnAgent::UpdateActor(const std::vector<const Transition*>& batch) {
+  HEAD_SPAN("rl.update_actor");
+  nn::ResetTape();  // the critic pass's tape is spent at this point
   const int b = static_cast<int>(batch.size());
   std::vector<const AugmentedState*> states(b);
   for (int i = 0; i < b; ++i) states[i] = &batch[i]->state;
@@ -261,12 +209,12 @@ void PdqnAgent::UpdateActorBatched(
   const nn::Var q_all = q_->ForwardBatch(states, x);
   const nn::Var loss = nn::Scale(nn::Sum(q_all), -1.0 / b);  // Eq. (23)
   nn::Backward(loss);
-  const double grad_norm = x_opt_.ClipGradNorm(10.0);
-  x_opt_.Step();
+  const std::optional<double> grad_norm = ClipAndStep(x_opt_, loss.value()[0]);
+  if (!grad_norm) return;
 
   static obs::Histogram& norm_hist = obs::GetHistogram(
       "rl.grad_norm.actor", obs::CachedExponentialBounds(1e-4, 2.0, 28));
-  norm_hist.Observe(grad_norm);
+  norm_hist.Observe(*grad_norm);
 }
 
 void PdqnAgent::Update(Rng& rng) {
@@ -318,13 +266,13 @@ void PdqnAgent::SyncTargets() {
 // ResetTape here — these nodes recycle at the next region entry.
 nn::Tensor PdqnAgent::ActionParams(const AugmentedState& s) const {
   const nn::NoGradGuard no_grad;
-  return x_->Forward(s).value();
+  return x_->ForwardBatch({&s}).value();
 }
 
 nn::Tensor PdqnAgent::QValues(const AugmentedState& s,
                               const nn::Tensor& x) const {
   const nn::NoGradGuard no_grad;
-  return q_->Forward(s, nn::Var::Constant(x)).value();
+  return q_->ForwardBatch({&s}, nn::Var::Constant(x)).value();
 }
 
 std::unique_ptr<PdqnAgent> MakeBpDqnAgent(const PdqnConfig& config, Rng& rng) {

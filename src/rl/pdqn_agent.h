@@ -47,10 +47,6 @@ struct PdqnConfig {
   int terminal_replay_boost = 4;
   /// P-QP: update calls per alternation phase (0 ⇒ joint optimization).
   int alternate_period = 0;
-  /// Vectorized minibatch updates: one autograd graph per minibatch instead
-  /// of one per transition. Identical math (gradient-parity tested); the
-  /// per-sample path is kept for that parity test and as a reference.
-  bool batched_updates = true;
 };
 
 class PdqnAgent : public PamdpAgent {
@@ -83,10 +79,10 @@ class PdqnAgent : public PamdpAgent {
   void SyncTargets();
 
  private:
+  // One autograd graph per minibatch for each loss. A non-finite loss or
+  // gradient norm skips the optimizer step and counts rl.nonfinite_updates.
   void UpdateCritic(const std::vector<const Transition*>& batch);
   void UpdateActor(const std::vector<const Transition*>& batch);
-  void UpdateCriticBatched(const std::vector<const Transition*>& batch);
-  void UpdateActorBatched(const std::vector<const Transition*>& batch);
 
   std::string name_;
   PdqnConfig config_;

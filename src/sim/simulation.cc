@@ -120,8 +120,6 @@ void Simulation::ApplyLaneChanges(const Maneuver& ego_maneuver) {
   // Ego first: its lane change is part of the externally decided maneuver.
   ego_.state.lane += LaneDelta(ego_maneuver.lane_change);
 
-  if (!config_.conventional_lane_changes) return;
-
   // All conventional changes are decided against one post-ego-change
   // snapshot (simultaneous decisions, as in SUMO's sub-steps), then
   // proposals that would merge into the same gap are conflict-resolved by

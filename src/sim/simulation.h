@@ -21,8 +21,6 @@ namespace head::sim {
 struct SimConfig {
   RoadConfig road;
   SpawnConfig spawn;
-  /// Whether conventional vehicles may change lanes (MOBIL).
-  bool conventional_lane_changes = true;
   /// Lane-change cooldown for conventional drivers, in steps.
   int lane_change_cooldown_steps = 4;
   /// Ego initial speed; lane is drawn uniformly at Reset.

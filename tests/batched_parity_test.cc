@@ -1,20 +1,26 @@
 // Gradient/value parity between the vectorized minibatch training paths and
-// the per-sample reference paths they replaced: identically-seeded learners
-// must end up with the same parameters (within fp accumulation-order noise,
-// ≪ 1e-9) whichever path they train through.
+// the per-sample reference loops they replaced, which live in this file:
+// identically-seeded learners must end up with the same parameters (within
+// fp accumulation-order noise, ≪ 1e-9) whichever loop they train through.
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/arena.h"
 #include "nn/autograd.h"
+#include "nn/optimizer.h"
 #include "perception/lst_gat.h"
 #include "perception/trainer.h"
+#include "rl/mp_dqn.h"
 #include "rl/nets.h"
 #include "rl/pdqn_agent.h"
+#include "rl/replay_buffer.h"
 
 namespace head {
 namespace {
@@ -41,27 +47,148 @@ rl::AugmentedState RandomState(Rng& rng) {
   return s;
 }
 
-// Trains two identically-initialized agents on identical transitions with
-// identical rng streams — one through the batched update path, one through
-// the per-sample reference — and requires parameter agreement.
-void ExpectUpdateParity(
-    const std::function<std::unique_ptr<rl::PdqnAgent>(const rl::PdqnConfig&,
-                                                       Rng&)>& make) {
+// ---- Per-sample P-DQN reference ----
+//
+// The per-transition update that PdqnAgent's minibatch update replaced,
+// kept here as the parity oracle. It owns the same nets, optimizers and
+// replay buffer as the agent, built in the same order from the same seed,
+// and runs one autograd graph per transition through batch-of-one forwards.
+
+/// Net factories of one P-DQN-family agent, as its Make*Agent passes them.
+struct NetFactories {
+  rl::PdqnAgent::XFactory make_x;
+  rl::PdqnAgent::QFactory make_q;
+};
+
+double MaxVal(const nn::Tensor& row) {
+  double m = row.At(0, 0);
+  for (int c = 1; c < row.cols(); ++c) m = std::max(m, row.At(0, c));
+  return m;
+}
+
+class PerSampleLearner {
+ public:
+  PerSampleLearner(const rl::PdqnConfig& config, const NetFactories& nets,
+                   Rng& init_rng)
+      : config_(config),
+        x_(nets.make_x(init_rng)),
+        x_target_(nets.make_x(init_rng)),
+        q_(nets.make_q(init_rng)),
+        q_target_(nets.make_q(init_rng)),
+        q_opt_(q_->Params(), config.learning_rate),
+        x_opt_(x_->Params(), config.learning_rate * config.actor_lr_scale),
+        buffer_(config.buffer_capacity) {
+    // Joint optimization only: no update_every / P-QP alternation schedule.
+    EXPECT_EQ(config.update_every, 1);
+    EXPECT_EQ(config.alternate_period, 0);
+    x_target_->CopyParamsFrom(*x_);
+    q_target_->CopyParamsFrom(*q_);
+  }
+
+  void Remember(const rl::AugmentedState& state,
+                const rl::AgentAction& action, double reward,
+                const rl::AugmentedState& next_state, bool terminal) {
+    rl::Transition t;
+    t.state = state;
+    t.behavior = action.behavior;
+    t.params = action.params;
+    t.reward = reward;
+    t.next_state = next_state;
+    t.terminal = terminal;
+    const int copies =
+        terminal ? std::max(1, config_.terminal_replay_boost) : 1;
+    for (int i = 0; i < copies; ++i) buffer_.Push(t);
+  }
+
+  void Update(Rng& rng) {
+    if (buffer_.size() < static_cast<size_t>(config_.warmup_transitions)) {
+      return;
+    }
+    const std::vector<const rl::Transition*> batch =
+        buffer_.Sample(config_.batch_size, rng);
+    UpdateCritic(batch);
+    UpdateActor(batch);
+    x_target_->SoftUpdateFrom(*x_, config_.tau);
+    q_target_->SoftUpdateFrom(*q_, config_.tau);
+  }
+
+  const rl::XNet& x_net() const { return *x_; }
+  const rl::QNet& q_net() const { return *q_; }
+
+ private:
+  void UpdateCritic(const std::vector<const rl::Transition*>& batch) {
+    nn::ResetTape();
+    q_opt_.ZeroGrad();
+    std::vector<nn::Var> losses;
+    losses.reserve(batch.size());
+    for (const rl::Transition* t : batch) {
+      double y = t->reward;
+      if (!t->terminal) {
+        const nn::Var x_next = x_target_->ForwardBatch({&t->next_state});
+        const nn::Tensor q_next =
+            q_target_->ForwardBatch({&t->next_state}, x_next).value();
+        y += config_.gamma * MaxVal(q_next);
+      }
+      const nn::Var q_all =
+          q_->ForwardBatch({&t->state}, nn::Var::Constant(t->params));
+      const nn::Var q_b = nn::SliceCols(q_all, t->behavior, t->behavior + 1);
+      losses.push_back(nn::Scale(nn::Square(nn::AddScalar(q_b, -y)), 0.5));
+    }
+    nn::Var loss = losses[0];
+    for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
+    loss = nn::Scale(loss, 1.0 / losses.size());
+    nn::Backward(loss);
+    q_opt_.ClipGradNorm(10.0);
+    q_opt_.Step();
+  }
+
+  void UpdateActor(const std::vector<const rl::Transition*>& batch) {
+    nn::ResetTape();
+    x_opt_.ZeroGrad();
+    q_->ZeroGrad();  // critic grads from this pass are discarded
+    std::vector<nn::Var> losses;
+    losses.reserve(batch.size());
+    for (const rl::Transition* t : batch) {
+      const nn::Var x = x_->ForwardBatch({&t->state});
+      const nn::Var q_all = q_->ForwardBatch({&t->state}, x);
+      losses.push_back(nn::Scale(nn::Sum(q_all), -1.0));  // Eq. (23)
+    }
+    nn::Var loss = losses[0];
+    for (size_t i = 1; i < losses.size(); ++i) loss = nn::Add(loss, losses[i]);
+    loss = nn::Scale(loss, 1.0 / losses.size());
+    nn::Backward(loss);
+    x_opt_.ClipGradNorm(10.0);
+    x_opt_.Step();
+  }
+
+  rl::PdqnConfig config_;
+  std::unique_ptr<rl::XNet> x_;
+  std::unique_ptr<rl::XNet> x_target_;
+  std::unique_ptr<rl::QNet> q_;
+  std::unique_ptr<rl::QNet> q_target_;
+  nn::Adam q_opt_;
+  nn::Adam x_opt_;
+  rl::ReplayBuffer buffer_;
+};
+
+using AgentFactory = std::function<std::unique_ptr<rl::PdqnAgent>(
+    const rl::PdqnConfig&, Rng&)>;
+
+// Trains an agent and the per-sample reference, identically initialized, on
+// identical transitions with identical rng streams, and requires parameter
+// agreement.
+void ExpectUpdateParity(const AgentFactory& make_agent,
+                        NetFactories (*make_nets)(const rl::PdqnConfig&)) {
   rl::PdqnConfig config;
   config.hidden = 16;
   config.batch_size = 8;
   config.warmup_transitions = 8;
   config.buffer_capacity = 128;
 
-  rl::PdqnConfig batched = config;
-  batched.batched_updates = true;
-  rl::PdqnConfig reference = config;
-  reference.batched_updates = false;
-
   Rng init_a(11);
   Rng init_b(11);
-  auto agent_a = make(batched, init_a);
-  auto agent_b = make(reference, init_b);
+  auto agent = make_agent(config, init_a);
+  PerSampleLearner reference(config, make_nets(config), init_b);
 
   Rng data(21);
   Rng rng_a(31);
@@ -76,49 +203,76 @@ void ExpectUpdateParity(
     action.maneuver.accel_mps2 = action.params[action.behavior];
     const double reward = data.Uniform(-1.0, 1.0);
     const bool terminal = i % 7 == 0;
-    agent_a->Remember(s, action, reward, s2, terminal);
-    agent_b->Remember(s, action, reward, s2, terminal);
-    agent_a->Update(rng_a);
-    agent_b->Update(rng_b);
+    agent->Remember(s, action, reward, s2, terminal);
+    reference.Remember(s, action, reward, s2, terminal);
+    agent->Update(rng_a);
+    reference.Update(rng_b);
   }
 
-  ExpectParamsNear(agent_a->x_net().Params(), agent_b->x_net().Params());
-  ExpectParamsNear(agent_a->q_net().Params(), agent_b->q_net().Params());
+  ExpectParamsNear(agent->x_net().Params(), reference.x_net().Params());
+  ExpectParamsNear(agent->q_net().Params(), reference.q_net().Params());
+}
+
+NetFactories BpNets(const rl::PdqnConfig& c) {
+  return {
+      [c](Rng& r) { return std::make_unique<rl::BpXNet>(c.hidden, c.a_max, r); },
+      [c](Rng& r) { return std::make_unique<rl::BpQNet>(c.hidden, r); }};
+}
+
+NetFactories FlatNets(const rl::PdqnConfig& c) {
+  return {
+      [c](Rng& r) { return std::make_unique<rl::FlatXNet>(c.hidden, c.a_max, r); },
+      [c](Rng& r) { return std::make_unique<rl::FlatQNet>(c.hidden, r); }};
+}
+
+NetFactories MultiPassNets(const rl::PdqnConfig& c) {
+  return {
+      [c](Rng& r) { return std::make_unique<rl::FlatXNet>(c.hidden, c.a_max, r); },
+      [c](Rng& r) { return std::make_unique<rl::MultiPassQNet>(c.hidden, r); }};
 }
 
 TEST(RlBatchedParityTest, BpDqnUpdatesMatchPerSample) {
-  ExpectUpdateParity([](const rl::PdqnConfig& c, Rng& rng) {
-    return rl::MakeBpDqnAgent(c, rng);
-  });
+  ExpectUpdateParity(rl::MakeBpDqnAgent, BpNets);
 }
 
 TEST(RlBatchedParityTest, PDqnUpdatesMatchPerSample) {
-  ExpectUpdateParity([](const rl::PdqnConfig& c, Rng& rng) {
-    return rl::MakePDqnAgent(c, rng);
-  });
+  ExpectUpdateParity(rl::MakePDqnAgent, FlatNets);
 }
 
-TEST(RlBatchedParityTest, BatchedForwardMatchesPerSampleRows) {
-  Rng init(5);
-  rl::PdqnConfig config;
-  config.hidden = 16;
-  auto agent = rl::MakeBpDqnAgent(config, init);
-  Rng data(6);
-  std::vector<rl::AugmentedState> states;
-  for (int i = 0; i < 5; ++i) states.push_back(RandomState(data));
-  std::vector<const rl::AugmentedState*> batch;
-  for (const auto& s : states) batch.push_back(&s);
+TEST(RlBatchedParityTest, MpDqnUpdatesMatchPerSample) {
+  ExpectUpdateParity(rl::MakeMpDqnAgent, MultiPassNets);
+}
 
-  const nn::Var x_batch = agent->x_net().ForwardBatch(batch);
-  const nn::Var q_batch = agent->q_net().ForwardBatch(batch, x_batch);
-  ASSERT_EQ(x_batch.value().rows(), 5);
-  ASSERT_EQ(q_batch.value().rows(), 5);
-  for (int i = 0; i < 5; ++i) {
-    const nn::Tensor x_i = agent->ActionParams(states[i]);
-    const nn::Tensor q_i = agent->QValues(states[i], x_i);
-    for (int c = 0; c < rl::kNumBehaviors; ++c) {
-      EXPECT_DOUBLE_EQ(x_batch.value().At(i, c), x_i.At(0, c));
-      EXPECT_DOUBLE_EQ(q_batch.value().At(i, c), q_i.At(0, c));
+// Batched == batch-of-one rows, for the BP, flat and multi-pass critics.
+TEST(RlBatchedParityTest, BatchedForwardMatchesPerSampleRows) {
+  const std::pair<const char*, AgentFactory> agents[] = {
+      {"BP-DQN", rl::MakeBpDqnAgent},
+      {"P-DQN", rl::MakePDqnAgent},
+      {"MP-DQN", rl::MakeMpDqnAgent},
+  };
+  for (const auto& [name, make] : agents) {
+    SCOPED_TRACE(name);
+    Rng init(5);
+    rl::PdqnConfig config;
+    config.hidden = 16;
+    auto agent = make(config, init);
+    Rng data(6);
+    std::vector<rl::AugmentedState> states;
+    for (int i = 0; i < 5; ++i) states.push_back(RandomState(data));
+    std::vector<const rl::AugmentedState*> batch;
+    for (const auto& s : states) batch.push_back(&s);
+
+    const nn::Var x_batch = agent->x_net().ForwardBatch(batch);
+    const nn::Var q_batch = agent->q_net().ForwardBatch(batch, x_batch);
+    ASSERT_EQ(x_batch.value().rows(), 5);
+    ASSERT_EQ(q_batch.value().rows(), 5);
+    for (int i = 0; i < 5; ++i) {
+      const nn::Tensor x_i = agent->ActionParams(states[i]);
+      const nn::Tensor q_i = agent->QValues(states[i], x_i);
+      for (int c = 0; c < rl::kNumBehaviors; ++c) {
+        EXPECT_DOUBLE_EQ(x_batch.value().At(i, c), x_i.At(0, c));
+        EXPECT_DOUBLE_EQ(q_batch.value().At(i, c), q_i.At(0, c));
+      }
     }
   }
 }
@@ -193,6 +347,67 @@ TEST(PerceptionBatchedParityTest, MixedDepthBatchFallsBackCorrectly) {
   }
 }
 
+// ---- Per-sample LST-GAT training reference ----
+//
+// TrainPredictor's per-sample loop, kept here as the parity oracle: one
+// autograd graph per sample, the masked scaled MSE of Eq. (14) summed and
+// averaged per minibatch, then one clipped Adam step.
+
+/// Masked scaled MSE of one sample as a differentiable Var.
+nn::Var SampleLoss(const perception::StatePredictor& model,
+                   const perception::PredictionSample& s) {
+  const nn::Var pred = model.ForwardScaled(s.graph);
+  const nn::Var truth = nn::Var::Constant(
+      perception::ScaledResidualTruth(s.graph, s.truth, model.scale()));
+  const nn::Var mask = nn::Var::Constant(perception::TruthMask(s.truth));
+  int valid = 0;
+  for (bool v : s.truth.valid) valid += v ? 1 : 0;
+  if (valid == 0) {
+    return nn::Var::Constant(nn::Tensor::Zeros(1, 1));
+  }
+  const nn::Var err = nn::Mul(nn::Sub(pred, truth), mask);
+  return nn::Scale(nn::Sum(nn::Square(err)), 1.0 / (3.0 * valid));
+}
+
+/// Trains `model` with per-sample graphs on TrainPredictor's shuffle and
+/// minibatch schedule; returns the epoch losses.
+std::vector<double> TrainPerSample(
+    perception::StatePredictor& model,
+    const std::vector<perception::PredictionSample>& train,
+    const perception::PredictionTrainConfig& config) {
+  nn::Adam opt(model.Params(), config.learning_rate);
+  Rng rng(config.shuffle_seed);
+  std::vector<int> order(train.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> epoch_losses;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    double epoch_loss = 0.0;
+    for (size_t b = 0; b < order.size(); b += config.batch_size) {
+      const size_t end = std::min(order.size(), b + config.batch_size);
+      nn::ResetTape();
+      opt.ZeroGrad();
+      std::vector<nn::Var> losses;
+      losses.reserve(end - b);
+      for (size_t k = b; k < end; ++k) {
+        losses.push_back(SampleLoss(model, train[order[k]]));
+      }
+      nn::Var batch_loss = losses[0];
+      for (size_t k = 1; k < losses.size(); ++k) {
+        batch_loss = nn::Add(batch_loss, losses[k]);
+      }
+      batch_loss = nn::Scale(batch_loss, 1.0 / losses.size());
+      const double step_loss = batch_loss.value()[0];
+      nn::Backward(batch_loss);
+      epoch_loss += step_loss * (end - b);
+      opt.ClipGradNorm(5.0);
+      opt.Step();
+    }
+    epoch_losses.push_back(epoch_loss / train.size());
+  }
+  return epoch_losses;
+}
+
 TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
   perception::LstGatConfig net_config;
   net_config.d_phi1 = 8;
@@ -214,19 +429,13 @@ TEST(PerceptionBatchedParityTest, TrainingMatchesPerSamplePath) {
   perception::PredictionTrainConfig config;
   config.epochs = 3;
   config.batch_size = 4;  // uneven final batch of 3
-  perception::PredictionTrainConfig batched = config;
-  batched.batched = true;
-  perception::PredictionTrainConfig reference = config;
-  reference.batched = false;
 
-  const auto result_a =
-      perception::TrainPredictor(model_a, train, batched);
-  const auto result_b =
-      perception::TrainPredictor(model_b, train, reference);
+  const auto result_a = perception::TrainPredictor(model_a, train, config);
+  const std::vector<double> losses_b = TrainPerSample(model_b, train, config);
 
-  ASSERT_EQ(result_a.epoch_losses.size(), result_b.epoch_losses.size());
-  for (size_t e = 0; e < result_a.epoch_losses.size(); ++e) {
-    EXPECT_NEAR(result_a.epoch_losses[e], result_b.epoch_losses[e], kTol);
+  ASSERT_EQ(result_a.epoch_losses.size(), losses_b.size());
+  for (size_t e = 0; e < losses_b.size(); ++e) {
+    EXPECT_NEAR(result_a.epoch_losses[e], losses_b[e], kTol);
   }
   ExpectParamsNear(model_a.Params(), model_b.Params());
 }

@@ -41,7 +41,6 @@ std::unique_ptr<rl::PdqnAgent> FilledBpDqnAgent(int transitions) {
   config.batch_size = 8;
   config.warmup_transitions = 8;
   config.buffer_capacity = 64;
-  config.batched_updates = true;
   Rng init(11);
   auto agent = rl::MakeBpDqnAgent(config, init);
   Rng data(21);
@@ -112,7 +111,6 @@ std::vector<nn::Tensor> LstGatUpdateParams() {
   perception::PredictionTrainConfig config;
   config.epochs = 1;
   config.batch_size = 4;
-  config.batched = true;
   perception::TrainPredictor(model, train, config);
   std::vector<nn::Tensor> out;
   for (const nn::Var& p : model.Params()) out.push_back(p.value());
@@ -180,7 +178,6 @@ TEST(ArenaSteadyStateTest, WarmedLstGatTrainStepAllocatesNothing) {
   perception::PredictionTrainConfig config;
   config.epochs = 1;
   config.batch_size = 3;
-  config.batched = true;
   // Two warm-up epochs: the second runs the measured path once, so the pool
   // holds every buffer that path keeps in rotation.
   perception::TrainPredictor(model, train, config);

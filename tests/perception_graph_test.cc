@@ -1,8 +1,12 @@
 // Spatial-temporal graph construction and the prediction models: feature
 // encoding, network shapes, attention normalization, parallel output, and
 // learnability (overfit a tiny dataset).
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "perception/baselines/ed_lstm.h"
 #include "perception/baselines/gas_led.h"
 #include "perception/baselines/lstm_mlp.h"
@@ -142,6 +146,37 @@ void ExpectLearns(Model&& model, double min_improvement) {
   const double after = PredictionLoss(model, data);
   EXPECT_LT(after, before * min_improvement)
       << "before=" << before << " after=" << after;
+}
+
+TEST(PredictorLearningTest, NonFiniteTruthSkipsStepAndIsCounted) {
+  // A NaN truth on a valid target makes that minibatch's loss and gradient
+  // norm NaN; its step is skipped and counted, the other steps still train,
+  // and the epoch loss covers only the steps taken.
+  PredictionSample bad = MakeSample();
+  int target = -1;
+  for (int i = 0; i < kNumAreas && target < 0; ++i) {
+    if (bad.truth.valid[i]) target = i;
+  }
+  ASSERT_GE(target, 0);
+  bad.truth.value[target][1] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<PredictionSample> data = {MakeSample(), bad};
+
+  Rng rng(5);
+  LstGat model(LstGatConfig{}, rng);
+  obs::Counter& nonfinite =
+      obs::GetCounter("perception.train.nonfinite_steps");
+  const int64_t before = nonfinite.value();
+  PredictionTrainConfig config;
+  config.epochs = 3;
+  config.batch_size = 1;
+  const PredictionTrainResult result = TrainPredictor(model, data, config);
+  EXPECT_EQ(nonfinite.value() - before, config.epochs);
+  for (double loss : result.epoch_losses) EXPECT_TRUE(std::isfinite(loss));
+  for (const nn::Var& p : model.Params()) {
+    for (int i = 0; i < p.value().size(); ++i) {
+      ASSERT_TRUE(std::isfinite(p.value()[i]));
+    }
+  }
 }
 
 TEST(PredictorLearningTest, LstGatOverfitsOneSample) {

@@ -1,10 +1,13 @@
 // RL machinery: replay buffer, augmented-state building, and behavioral
 // smoke/learning tests for every agent (BP-DQN, P-DQN, P-QP, P-DDPG, DRL-SC).
+#include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "rl/drl_sc.h"
 #include "rl/mp_dqn.h"
 #include "rl/p_ddpg.h"
@@ -134,6 +137,34 @@ TEST(PdqnAgentTest, PDqnCriticLearnsConstantReward) {
   ExpectCriticLearns([](Rng& r) { return MakePDqnAgent(SmallConfig(), r); });
 }
 
+TEST(PdqnAgentTest, NonFiniteRewardSkipsUpdateAndIsCounted) {
+  // A NaN reward makes the critic loss and gradient norm NaN; the update
+  // must skip the optimizer step instead of writing NaN into every weight.
+  Rng init(3);
+  auto agent = MakeBpDqnAgent(SmallConfig(), init);
+  obs::Counter& nonfinite = obs::GetCounter("rl.nonfinite_updates");
+  const int64_t before = nonfinite.value();
+  Rng data(4);
+  Rng rng(5);
+  for (int i = 0; i < 32; ++i) {
+    const AugmentedState s = RandomState(data);
+    const AugmentedState s2 = RandomState(data);
+    const AgentAction action = agent->Act(s, 1.0, data);
+    const double reward =
+        i == 3 ? std::numeric_limits<double>::quiet_NaN() : 0.5;
+    agent->Remember(s, action, reward, s2, /*terminal=*/false);
+    agent->Update(rng);
+  }
+  EXPECT_GE(nonfinite.value() - before, 1);
+  std::vector<nn::Var> params = agent->x_net().Params();
+  for (const nn::Var& p : agent->q_net().Params()) params.push_back(p);
+  for (const nn::Var& p : params) {
+    for (int i = 0; i < p.value().size(); ++i) {
+      ASSERT_TRUE(std::isfinite(p.value()[i]));
+    }
+  }
+}
+
 TEST(MpDqnTest, MaskedCriticIgnoresOtherParameters) {
   // Changing the parameter of an action must not change the other actions'
   // Q values — the property MP-DQN exists to guarantee.
@@ -145,9 +176,9 @@ TEST(MpDqnTest, MaskedCriticIgnoresOtherParameters) {
   nn::Tensor x2 = x1;
   x2.At(0, 0) = -3.0;  // perturb only the `ll` parameter
   const nn::Tensor q1 =
-      critic.Forward(s, nn::Var::Constant(x1)).value();
+      critic.ForwardBatch({&s}, nn::Var::Constant(x1)).value();
   const nn::Tensor q2 =
-      critic.Forward(s, nn::Var::Constant(x2)).value();
+      critic.ForwardBatch({&s}, nn::Var::Constant(x2)).value();
   EXPECT_NE(q1.At(0, 0), q2.At(0, 0));
   EXPECT_DOUBLE_EQ(q1.At(0, 1), q2.At(0, 1));
   EXPECT_DOUBLE_EQ(q1.At(0, 2), q2.At(0, 2));

@@ -20,7 +20,8 @@ TEST(BpXNetTest, OutputsBoundedByAMax) {
   BpXNet x(32, 3.0, rng);
   Rng srng(2);
   for (int i = 0; i < 20; ++i) {
-    const nn::Tensor out = x.Forward(RandomState(srng)).value();
+    const AugmentedState s = RandomState(srng);
+    const nn::Tensor out = x.ForwardBatch({&s}).value();
     ASSERT_EQ(out.cols(), kNumBehaviors);
     for (int c = 0; c < out.cols(); ++c) {
       EXPECT_GT(out.At(0, c), -3.0);
@@ -35,7 +36,8 @@ TEST(BpXNetTest, StartsNearZeroAcceleration) {
   BpXNet x(64, 3.0, rng);
   Rng srng(4);
   for (int i = 0; i < 10; ++i) {
-    const nn::Tensor out = x.Forward(RandomState(srng)).value();
+    const AugmentedState s = RandomState(srng);
+    const nn::Tensor out = x.ForwardBatch({&s}).value();
     for (int c = 0; c < out.cols(); ++c) {
       EXPECT_LT(std::fabs(out.At(0, c)), 1.5);
     }
@@ -55,8 +57,8 @@ TEST(BpQNetTest, QIsNotAdditivelySeparableInStateAndAction) {
   nn::Tensor xa(1, kNumBehaviors, {-3.0, 0.0, 3.0});
   nn::Tensor xb(1, kNumBehaviors, {3.0, 0.0, -3.0});
   auto delta = [&](const AugmentedState& s) {
-    const nn::Tensor qa = q.Forward(s, nn::Var::Constant(xa)).value();
-    const nn::Tensor qb = q.Forward(s, nn::Var::Constant(xb)).value();
+    const nn::Tensor qa = q.ForwardBatch({&s}, nn::Var::Constant(xa)).value();
+    const nn::Tensor qb = q.ForwardBatch({&s}, nn::Var::Constant(xb)).value();
     return qa.At(0, 0) - qb.At(0, 0);
   };
   EXPECT_NE(delta(s1), delta(s2))
@@ -70,11 +72,11 @@ TEST(BpQNetTest, BranchEncoderOutputsDependOnEveryVehicleRow) {
   Rng srng(8);
   nn::Tensor block =
       nn::Tensor::Uniform(kStateHRows, kStateCols, -1.0, 1.0, srng);
-  const nn::Tensor base = enc.Forward(block).value();
+  const nn::Tensor base = enc.ForwardStacked(block, /*batch=*/1).value();
   for (int r = 0; r < kStateHRows; ++r) {
     nn::Tensor perturbed = block;
     perturbed.At(r, 1) += 0.5;
-    const nn::Tensor out = enc.Forward(perturbed).value();
+    const nn::Tensor out = enc.ForwardStacked(perturbed, /*batch=*/1).value();
     // Only the per-vehicle scalar of the perturbed row may change.
     for (int c = 0; c < kStateHRows; ++c) {
       if (c == r) {
@@ -92,10 +94,10 @@ TEST(FlatNetsTest, ShapesMatchContract) {
   FlatQNet q(32, rng);
   Rng srng(10);
   const AugmentedState s = RandomState(srng);
-  const nn::Var xv = x.Forward(s);
+  const nn::Var xv = x.ForwardBatch({&s});
   EXPECT_EQ(xv.value().rows(), 1);
   EXPECT_EQ(xv.value().cols(), kNumBehaviors);
-  const nn::Var qv = q.Forward(s, xv);
+  const nn::Var qv = q.ForwardBatch({&s}, xv);
   EXPECT_EQ(qv.value().rows(), 1);
   EXPECT_EQ(qv.value().cols(), kNumBehaviors);
 }
@@ -104,14 +106,25 @@ TEST(MultiPassTest, GradientOnlyFlowsThroughOwnParameter) {
   Rng rng(11);
   MultiPassQNet q(16, rng);
   Rng srng(12);
-  const AugmentedState s = RandomState(srng);
-  nn::Var x = nn::Var::Param(nn::Tensor(1, kNumBehaviors, {1.0, -1.0, 0.5}));
-  const nn::Var q_all = q.Forward(s, x);
-  // Backprop only through Q of behavior 1: x gradients for behaviors 0 and
-  // 2 must be exactly zero (the multi-pass property).
-  nn::Backward(nn::Sum(nn::SliceCols(q_all, 1, 2)));
-  EXPECT_DOUBLE_EQ(x.grad().At(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(x.grad().At(0, 2), 0.0);
+  const AugmentedState s0 = RandomState(srng);
+  const AugmentedState s1 = RandomState(srng);
+  // A 2-row batch: backprop only through Q of behavior 1 in row r. The x
+  // gradients of behaviors 0 and 2 in that row, and every x gradient of the
+  // other row, must be exactly zero (the multi-pass property, per row).
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(::testing::Message() << "row " << r);
+    nn::Var x = nn::Var::Param(
+        nn::Tensor(2, kNumBehaviors, {1.0, -1.0, 0.5, -0.5, 2.0, 0.25}));
+    const nn::Var q_all = q.ForwardBatch({&s0, &s1}, x);
+    ASSERT_EQ(q_all.value().rows(), 2);
+    nn::Backward(nn::Sum(nn::SliceRows(nn::SliceCols(q_all, 1, 2), r, r + 1)));
+    EXPECT_DOUBLE_EQ(x.grad().At(r, 0), 0.0);
+    EXPECT_NE(x.grad().At(r, 1), 0.0);
+    EXPECT_DOUBLE_EQ(x.grad().At(r, 2), 0.0);
+    for (int c = 0; c < kNumBehaviors; ++c) {
+      EXPECT_DOUBLE_EQ(x.grad().At(1 - r, c), 0.0);
+    }
+  }
 }
 
 }  // namespace

@@ -95,7 +95,6 @@ if [[ "${HEAD_SKIP_PERF:-0}" != "1" ]]; then
   PERF_THREADS="${HEAD_PERF_THREADS:-1}"
   echo "== perf smoke: training throughput (--threads=${PERF_THREADS}) vs checked-in baseline =="
   "${PERF_BUILD_DIR}/bench/training_throughput" \
-    --skip-per-sample \
     --threads="${PERF_THREADS}" \
     --json-out="${PERF_BUILD_DIR}/BENCH_training_throughput.json" \
     --metrics-out="${PERF_BUILD_DIR}/BENCH_metrics.json" \
@@ -151,7 +150,7 @@ if [[ "${HEAD_SKIP_PROFILE:-0}" != "1" ]]; then
 
   echo "== op-profile: record (--threads=1, coverage >= 95%) and diff vs baseline =="
   "${PROFILE_BUILD_DIR}/bench/training_throughput" \
-    --skip-per-sample --skip-gemm --trials=1 --threads=1 \
+    --skip-gemm --trials=1 --threads=1 \
     --profile-out="${PROFILE_BUILD_DIR}/BENCH_profile.json" \
     --min-profile-coverage=0.95 > /dev/null
   python3 tools/profile_diff.py \
