@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <initializer_list>
 #include <utility>
 
@@ -420,19 +419,14 @@ void LeakyReluBackward(VarImpl& self) {
   a->AccumGrad(std::move(g));
 }
 
-// Scalar forward functions of the element-wise ops.
-double ReluF(double x) { return x > 0.0 ? x : 0.0; }
-double TanhF(double x) { return std::tanh(x); }
-double SigmoidF(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-double SquareF(double x) { return x * x; }
-
-template <typename FwdFn>
-Var UnaryElementwise(const char* op, const Var& a, FwdFn fwd,
-                     void (*backward)(VarImpl&)) {
+/// Activation node whose forward is the elementwise kernel AffineAct fuses,
+/// so fused and unfused activations produce the same bits.
+Var ActElementwise(const char* op, const Var& a, kernels::ActKind kind,
+                   double leaky_slope, void (*backward)(VarImpl&)) {
   HEAD_PROF_OP(op, a.value().rows(), a.value().cols(), 0,
                int64_t{a.value().size()}, int64_t{16} * a.value().size());
   Tensor out = a.value();
-  for (int i = 0; i < out.size(); ++i) out[i] = fwd(out[i]);
+  kernels::ActForward(kind, leaky_slope, out.size(), out.data().data());
   return MakeResult(op, std::move(out), {&a}, backward);
 }
 
@@ -444,24 +438,25 @@ double SquareD(double x, double /*y*/) { return 2.0 * x; }
 }  // namespace
 
 Var Relu(const Var& a) {
-  return UnaryElementwise("nn.Relu", a, ReluF, UnaryBackward<ReluD>);
+  return ActElementwise("nn.Relu", a, kernels::ActKind::kRelu, 0.0,
+                        UnaryBackward<ReluD>);
 }
 
 Var LeakyRelu(const Var& a, double negative_slope) {
-  Var result = UnaryElementwise(
-      "nn.LeakyRelu", a,
-      [negative_slope](double x) { return x > 0.0 ? x : negative_slope * x; },
-      LeakyReluBackward);
+  Var result = ActElementwise("nn.LeakyRelu", a, kernels::ActKind::kLeakyRelu,
+                              negative_slope, LeakyReluBackward);
   result.node()->aux_d = negative_slope;
   return result;
 }
 
 Var Tanh(const Var& a) {
-  return UnaryElementwise("nn.Tanh", a, TanhF, UnaryBackward<TanhD>);
+  return ActElementwise("nn.Tanh", a, kernels::ActKind::kTanh, 0.0,
+                        UnaryBackward<TanhD>);
 }
 
 Var Sigmoid(const Var& a) {
-  return UnaryElementwise("nn.Sigmoid", a, SigmoidF, UnaryBackward<SigmoidD>);
+  return ActElementwise("nn.Sigmoid", a, kernels::ActKind::kSigmoid, 0.0,
+                        UnaryBackward<SigmoidD>);
 }
 
 namespace {
@@ -491,11 +486,12 @@ Var SoftmaxRows(const Var& a) {
   for (int r = 0; r < out.rows(); ++r) {
     double mx = out.At(r, 0);
     for (int c = 1; c < out.cols(); ++c) mx = std::max(mx, out.At(r, c));
+    for (int c = 0; c < out.cols(); ++c) out.At(r, c) -= mx;
+  }
+  kernels::Exp(out.size(), out.data().data());
+  for (int r = 0; r < out.rows(); ++r) {
     double sum = 0.0;
-    for (int c = 0; c < out.cols(); ++c) {
-      out.At(r, c) = std::exp(out.At(r, c) - mx);
-      sum += out.At(r, c);
-    }
+    for (int c = 0; c < out.cols(); ++c) sum += out.At(r, c);
     for (int c = 0; c < out.cols(); ++c) out.At(r, c) /= sum;
   }
   return MakeResult("nn.SoftmaxRows", std::move(out), {&a},
@@ -666,7 +662,12 @@ Var Mean(const Var& a) {
 }
 
 Var Square(const Var& a) {
-  return UnaryElementwise("nn.Square", a, SquareF, UnaryBackward<SquareD>);
+  HEAD_PROF_OP("nn.Square", a.value().rows(), a.value().cols(), 0,
+               int64_t{a.value().size()}, int64_t{16} * a.value().size());
+  Tensor out = a.value();
+  for (int i = 0; i < out.size(); ++i) out[i] *= out[i];
+  return MakeResult("nn.Square", std::move(out), {&a},
+                    UnaryBackward<SquareD>);
 }
 
 Var MseLoss(const Var& pred, const Var& target) {

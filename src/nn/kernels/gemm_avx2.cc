@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "nn/kernels/kernel_table.h"
+#include "nn/kernels/transcendental.h"
 
 namespace head::nn::kernels::internal {
 
@@ -479,6 +480,54 @@ void Avx2GemmPacked(int m, int n, int k, const double* a, int a_row_stride,
 // ---- Elementwise (bitwise-equal to scalar: no FMA, correctly-rounded
 // lane ops, scalar tails running the same expressions) ----
 
+/// Four-lane instantiation of the transcendental core (transcendental.h).
+struct Avx2Lanes {
+  using V = __m256d;
+  using M = __m256d;
+  static V Set(double v) { return _mm256_set1_pd(v); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V Div(V a, V b) { return _mm256_div_pd(a, b); }
+  static M Gt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+  static M Lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static V Select(M m, V t, V f) { return _mm256_blendv_pd(f, t, m); }
+  static V Abs(V v) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v); }
+  static V Neg(V v) { return _mm256_xor_pd(v, _mm256_set1_pd(-0.0)); }
+  static V OrSign(V mag, V s) {
+    return _mm256_or_pd(mag, _mm256_and_pd(s, _mm256_set1_pd(-0.0)));
+  }
+  static V ShiftToExponent(V v) {
+    return _mm256_castsi256_pd(
+        _mm256_slli_epi64(_mm256_castpd_si256(v), 52));
+  }
+};
+
+/// x[i] = f(x[i]) four lanes at a time. The tail runs through the same
+/// lane function on a zero-padded vector, so every element gets the same
+/// bits whatever its position.
+template <class F>
+void Avx2Map(int n, double* x, F f) {
+  int i = 0;
+  // Two independent vectors per iteration keep both FP ports busy through
+  // the latency of the polynomial chain.
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = f(_mm256_loadu_pd(x + i));
+    const __m256d b = f(_mm256_loadu_pd(x + i + 4));
+    _mm256_storeu_pd(x + i, a);
+    _mm256_storeu_pd(x + i + 4, b);
+  }
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, f(_mm256_loadu_pd(x + i)));
+  }
+  if (i == n) return;
+  alignas(32) double tail[4] = {0.0, 0.0, 0.0, 0.0};
+  const size_t bytes = static_cast<size_t>(n - i) * sizeof(double);
+  std::memcpy(tail, x + i, bytes);
+  _mm256_store_pd(tail, f(_mm256_load_pd(tail)));
+  std::memcpy(x + i, tail, bytes);
+}
+
 void Avx2Axpy(int n, double alpha, const double* x, double* y) {
   const __m256d va = _mm256_set1_pd(alpha);
   const int n4 = n & ~3;
@@ -520,14 +569,16 @@ void Avx2ActForward(ActKind kind, double leaky_slope, int n, double* x) {
       return;
     }
     case ActKind::kTanh:
-      // libm transcendentals stay scalar so every backend produces the same
-      // bits; the fusion win is the saved graph node + output traversal.
-      for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+      Avx2Map(n, x, [](__m256d v) { return Tanh<Avx2Lanes>(v); });
       return;
     case ActKind::kSigmoid:
-      for (int i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+      Avx2Map(n, x, [](__m256d v) { return Sigmoid<Avx2Lanes>(v); });
       return;
   }
+}
+
+void Avx2Exp(int n, double* x) {
+  Avx2Map(n, x, [](__m256d v) { return Exp<Avx2Lanes>(v); });
 }
 
 void Avx2ActBackward(ActKind kind, double leaky_slope, int n, const double* y,
@@ -658,6 +709,7 @@ const KernelTable kAvx2Table = {
     /*axpy=*/Avx2Axpy,
     /*act_forward=*/Avx2ActForward,
     /*act_backward=*/Avx2ActBackward,
+    /*exp=*/Avx2Exp,
     /*rowwise_max=*/Avx2RowwiseMax,
     /*adam_step=*/Avx2AdamStep,
 };

@@ -4,14 +4,43 @@
 // scalar backend — and any backend with fast_math off — reproduces the
 // pre-SIMD numerics bitwise. Compiled with -ffp-contract=off so no future
 // toolchain/arch flag can fuse these multiplies and adds behind our back.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "nn/kernels/kernel_table.h"
+#include "nn/kernels/transcendental.h"
 
 namespace head::nn::kernels::internal {
 
 namespace {
+
+/// One-lane instantiation of the transcendental core (transcendental.h).
+struct ScalarLanes {
+  using V = double;
+  using M = bool;
+  static constexpr uint64_t kSign = uint64_t{1} << 63;
+  static V Set(double v) { return v; }
+  static V Add(V a, V b) { return a + b; }
+  static V Sub(V a, V b) { return a - b; }
+  static V Mul(V a, V b) { return a * b; }
+  static V Div(V a, V b) { return a / b; }
+  static M Gt(V a, V b) { return a > b; }
+  static M Lt(V a, V b) { return a < b; }
+  static V Select(M m, V t, V f) { return m ? t : f; }
+  static V Abs(V v) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(v) & ~kSign);
+  }
+  static V Neg(V v) { return -v; }
+  static V OrSign(V mag, V s) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(mag) |
+                                 (std::bit_cast<uint64_t>(s) & kSign));
+  }
+  static V ShiftToExponent(V v) {
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(v) << 52);
+  }
+};
 
 void ScalarGemmNN(int m, int n, int k, const double* a, const double* b,
                   const double* bias, GemmInit init, double* c) {
@@ -106,12 +135,16 @@ void ScalarActForward(ActKind kind, double leaky_slope, int n, double* x) {
       for (int i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : leaky_slope * x[i];
       return;
     case ActKind::kTanh:
-      for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+      for (int i = 0; i < n; ++i) x[i] = Tanh<ScalarLanes>(x[i]);
       return;
     case ActKind::kSigmoid:
-      for (int i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+      for (int i = 0; i < n; ++i) x[i] = Sigmoid<ScalarLanes>(x[i]);
       return;
   }
+}
+
+void ScalarExp(int n, double* x) {
+  for (int i = 0; i < n; ++i) x[i] = Exp<ScalarLanes>(x[i]);
 }
 
 // All derivatives are functions of the *output* y (for relu/leaky, sign(y)
@@ -178,6 +211,7 @@ const KernelTable kScalarTable = {
     /*axpy=*/ScalarAxpy,
     /*act_forward=*/ScalarActForward,
     /*act_backward=*/ScalarActBackward,
+    /*exp=*/ScalarExp,
     /*rowwise_max=*/ScalarRowwiseMax,
     /*adam_step=*/ScalarAdamStep,
 };

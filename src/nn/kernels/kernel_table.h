@@ -63,6 +63,7 @@ struct KernelTable {
   void (*act_forward)(ActKind kind, double leaky_slope, int n, double* x);
   void (*act_backward)(ActKind kind, double leaky_slope, int n,
                        const double* y, const double* gout, double* gin);
+  void (*exp)(int n, double* x);
   void (*rowwise_max)(int rows, int cols, const double* a, double* out,
                       int* argmax);
   void (*adam_step)(int n, double lr, double beta1, double beta2, double eps,

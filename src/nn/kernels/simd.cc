@@ -292,6 +292,11 @@ void ActBackward(ActKind kind, double leaky_slope, int n, const double* y,
   ElementwiseTable()->act_backward(kind, leaky_slope, n, y, gout, gin);
 }
 
+void Exp(int n, double* x) {
+  HEAD_PROF_OP("kernel.exp", n, 0, 0, int64_t{n}, int64_t{16} * n);
+  ElementwiseTable()->exp(n, x);
+}
+
 void RowwiseMax(int rows, int cols, const double* a, double* out,
                 int* argmax) {
   HEAD_PROF_OP("kernel.rowwise_max", rows, cols, 0, 0,

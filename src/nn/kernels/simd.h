@@ -20,9 +20,12 @@
 // swappable at runtime (SetActiveIsa) for tests and the --kernel bench axis.
 //
 // Determinism contract (see DESIGN.md "SIMD kernel dispatch"):
-//   * Elementwise kernels (axpy, activations, Adam, rowwise-max) use only
-//     correctly-rounded lane ops (no FMA, no reassociation): bitwise equal
-//     to scalar on every backend, so they are always routed.
+//   * Elementwise kernels (axpy, activations, exp, Adam, rowwise-max) use
+//     only correctly-rounded lane ops (no FMA, no reassociation, no libm):
+//     bitwise equal to scalar on every backend, for every element whatever
+//     n, its offset or its lane, so they are always routed. exp, tanh and
+//     sigmoid come from one lane-generic core (transcendental.h) built from
+//     add/sub/mul/div, compares, selects and exponent bits.
 //   * GEMM-family kernels reassociate (FMA contraction, multi-accumulator
 //     dots): routed to the SIMD backend only while fast_math is enabled.
 //     With fast_math off (SetFastMath(false) or HEAD_FAST_MATH=0) every
@@ -127,6 +130,9 @@ void ActForward(ActKind kind, double leaky_slope, int n, double* x);
 /// backends. gin may alias gout.
 void ActBackward(ActKind kind, double leaky_slope, int n, const double* y,
                  const double* gout, double* gin);
+
+/// In-place e^x on x[0..n). Bitwise-equal across backends.
+void Exp(int n, double* x);
 
 /// out[r] = max_c a[r,c]; argmax[r] = first maximizing column (may be null).
 void RowwiseMax(int rows, int cols, const double* a, double* out, int* argmax);

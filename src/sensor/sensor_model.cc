@@ -33,10 +33,20 @@ std::vector<sim::VehicleSnapshot> Observe(
   HEAD_SPAN("sensor.observe");
   static obs::Counter& observations = obs::GetCounter("sensor.observations");
   observations.Add();
-  std::vector<sim::VehicleSnapshot> out;
+  // A sight line is at most range_m long, so only vehicles within range_m
+  // plus one body length of the ego, lengthwise, can be in range or block
+  // one. They are the candidate targets and blockers, in snapshot order.
+  thread_local std::vector<sim::VehicleSnapshot> band;
+  band.clear();
+  const double reach = sensor.range_m + kVehicleLengthM;
   for (const sim::VehicleSnapshot& v : global_snapshot) {
-    if (v.id == kEgoVehicleId) continue;
-    if (IsVisible(ego, v, global_snapshot, sensor, road)) out.push_back(v);
+    if (v.id != kEgoVehicleId && std::fabs(DLon(v.state, ego)) <= reach) {
+      band.push_back(v);
+    }
+  }
+  std::vector<sim::VehicleSnapshot> out;
+  for (const sim::VehicleSnapshot& v : band) {
+    if (IsVisible(ego, v, band, sensor, road)) out.push_back(v);
   }
   return out;
 }

@@ -17,8 +17,10 @@ struct SensorConfig {
   bool model_occlusion = true; ///< line-of-sight shadowing by other vehicles
 };
 
-/// Conventional vehicles visible to the ego at this instant. The ego itself
-/// (id 0) is never part of the output.
+/// Conventional vehicles visible to the ego at this instant, in snapshot
+/// order. The ego itself (id 0) is never part of the output. Only vehicles
+/// within range_m + one vehicle length of the ego, lengthwise, are tested
+/// as blockers: no other vehicle can cross a sight line of length range_m.
 std::vector<sim::VehicleSnapshot> Observe(
     const std::vector<sim::VehicleSnapshot>& global_snapshot,
     const VehicleState& ego, const SensorConfig& sensor,

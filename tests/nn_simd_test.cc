@@ -3,8 +3,12 @@
 // Contract under test (simd.h, DESIGN.md "SIMD kernel dispatch"):
 //   * Every GEMM-family op agrees between the scalar and AVX2 backends to
 //     ≤ 1e-6 relative (FMA contraction is the only divergence source).
-//   * Elementwise kernels (axpy, activations, Adam, rowwise-max) are
-//     bitwise identical across backends.
+//   * Elementwise kernels (axpy, activations, exp, Adam, rowwise-max) are
+//     bitwise identical across backends, for every element position — the
+//     vector tail included — and for special inputs (±0, subnormals,
+//     overflow/underflow limits, ±inf, NaN).
+//   * exp / tanh / sigmoid stay within 2 / 4 / 4 ulp of libm, saturate
+//     where libm does and propagate NaN.
 //   * fast_math OFF pins GEMM to the scalar schedule regardless of the
 //     active ISA — bitwise equality with the scalar backend.
 //   * AVX2 GEMM results are invariant to row-blocking, packing, thread
@@ -12,7 +16,12 @@
 //   * End to end: a full BP-DQN update loop and an LST-GAT training run
 //     land on the same parameters under fast-math AVX2 and scalar.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +178,31 @@ TEST_F(SimdTest, FastMathOffPinsScalarScheduleBitwise) {
   EXPECT_TRUE(kernels::FastMathEnabled());
 }
 
+// Bit-for-bit equality, with every NaN equal to every other NaN (the
+// payload is not part of the contract).
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Inputs that stress the transcendental core's edges: signed zeros,
+// subnormals, tiny and huge magnitudes, both sides of the exp overflow
+// (ln DBL_MAX ≈ 709.78) and underflow (≈ −745.13) limits, the tanh
+// saturation band, ±inf and NaN.
+std::vector<double> SpecialInputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {0.0,      -0.0,      4.9e-324,  -4.9e-324, 1e-310,   -1e-310,
+          1e-300,   -1e-300,   1e-17,     -1e-17,    1e-9,     -1e-9,
+          0.1733,   -0.1733,   0.3466,    -0.3466,   1.0,      -1.0,
+          18.7,     -18.7,     19.5,      -19.5,     20.0,     -20.0,
+          20.5,     -20.5,     36.7,      -36.7,     37.5,     -37.5,
+          708.39,   -708.39,   709.78,    -709.78,   709.7827128933840,
+          709.7827128933841,   709.79,    710.0,     710.5,    -745.13,
+          -745.1332191019411,  -745.1332191019412,   -745.2,   -746.0,
+          -746.5,   800.0,     -800.0,    1e300,     -1e300,   inf,
+          -inf,     std::numeric_limits<double>::quiet_NaN()};
+}
+
 TEST_F(SimdTest, ElementwiseKernelsBitwiseAcrossIsas) {
   if (!kernels::CpuSupportsAvx2Fma()) {
     GTEST_SKIP() << "no AVX2+FMA on this machine";
@@ -246,6 +280,249 @@ TEST_F(SimdTest, ElementwiseKernelsBitwiseAcrossIsas) {
     ASSERT_EQ(ps[i], pv[i]) << i;
     ASSERT_EQ(ms[i], mv[i]) << i;
     ASSERT_EQ(vs2[i], vv[i]) << i;
+  }
+
+  // The transcendental and activation kernels at special inputs, for every
+  // n in 1..9 at offsets 0..3 with the inputs rotated through every lane
+  // and tail slot: each element must carry the bits it gets alone on the
+  // scalar backend.
+  const std::vector<double> special = SpecialInputs();
+  const int ns = static_cast<int>(special.size());
+  struct Kernel {
+    const char* name;
+    std::function<void(int, double*)> run;
+  };
+  const Kernel kKernels[] = {
+      {"exp", [](int n, double* x) { kernels::Exp(n, x); }},
+      {"tanh",
+       [](int n, double* x) {
+         kernels::ActForward(kernels::ActKind::kTanh, 0.0, n, x);
+       }},
+      {"sigmoid",
+       [](int n, double* x) {
+         kernels::ActForward(kernels::ActKind::kSigmoid, 0.0, n, x);
+       }},
+      {"relu",
+       [](int n, double* x) {
+         kernels::ActForward(kernels::ActKind::kRelu, 0.0, n, x);
+       }},
+      {"leaky_relu",
+       [](int n, double* x) {
+         kernels::ActForward(kernels::ActKind::kLeakyRelu, 0.2, n, x);
+       }},
+  };
+  for (const Kernel& k : kKernels) {
+    // Reference: every input alone (n = 1) on the scalar backend.
+    UseScalar();
+    std::vector<double> ref(ns);
+    for (int j = 0; j < ns; ++j) {
+      double v = special[j];
+      k.run(1, &v);
+      ref[j] = v;
+    }
+    // Every n in 1..9 at offsets 0..3, with the specials rotated through
+    // every lane and tail slot, on both backends.
+    for (const bool avx2 : {false, true}) {
+      if (avx2) {
+        ASSERT_TRUE(UseAvx2());
+      } else {
+        UseScalar();
+      }
+      for (int n = 1; n <= 9; ++n) {
+        for (int offset = 0; offset < 4; ++offset) {
+          for (int start = 0; start < ns; ++start) {
+            std::vector<double> buf(offset + n, 0.5);
+            for (int i = 0; i < n; ++i) {
+              buf[offset + i] = special[(start + i) % ns];
+            }
+            k.run(n, buf.data() + offset);
+            for (int i = 0; i < n; ++i) {
+              const int j = (start + i) % ns;
+              ASSERT_TRUE(SameBits(buf[offset + i], ref[j]))
+                  << k.name << " x=" << special[j] << " n=" << n
+                  << " offset=" << offset << " lane=" << i
+                  << (avx2 ? " avx2 " : " scalar ") << buf[offset + i]
+                  << " vs " << ref[j];
+            }
+            for (int i = 0; i < offset; ++i) ASSERT_EQ(buf[i], 0.5);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Distance in units in the last place, on the ordered integer line of
+// doubles (so +inf is one ulp above DBL_MAX and ±0 are adjacent).
+int64_t UlpDistance(double a, double b) {
+  auto ordered = [](double v) {
+    const int64_t i = std::bit_cast<int64_t>(v);
+    return i < 0 ? std::numeric_limits<int64_t>::min() - i : i;
+  };
+  const int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+// Dense sweep: a uniform grid over the whole exp domain plus log-spaced
+// magnitudes from the subnormals to 1e3, both signs.
+std::vector<double> SweepInputs() {
+  std::vector<double> x;
+  for (int i = 0; i <= 200000; ++i) x.push_back(-760.0 + i * (1480.0 / 200000));
+  for (int i = 0; i <= 100000; ++i) {
+    const double m = std::pow(10.0, -323.0 + i * (326.0 / 100000));
+    x.push_back(m);
+    x.push_back(-m);
+  }
+  for (int i = 0; i <= 100000; ++i) x.push_back(-2.0 + i * (4.0 / 100000));
+  const std::vector<double> special = SpecialInputs();
+  for (double v : special) {
+    if (!std::isnan(v)) x.push_back(v);
+  }
+  return x;
+}
+
+TEST_F(SimdTest, TranscendentalsWithinUlpOfLibm) {
+  const std::vector<double> x = SweepInputs();
+  const int n = static_cast<int>(x.size());
+  for (const bool avx2 : {false, true}) {
+    if (avx2 && !UseAvx2()) continue;
+    if (!avx2) UseScalar();
+    std::vector<double> e = x, t = x, s = x;
+    kernels::Exp(n, e.data());
+    kernels::ActForward(kernels::ActKind::kTanh, 0.0, n, t.data());
+    kernels::ActForward(kernels::ActKind::kSigmoid, 0.0, n, s.data());
+    int64_t worst_exp = 0, worst_tanh = 0, worst_sigmoid = 0;
+    for (int i = 0; i < n; ++i) {
+      const double xi = x[i];
+      // References in extended precision, rounded once to double.
+      const double ref_exp = static_cast<double>(std::exp(
+          static_cast<long double>(xi)));
+      const double ref_tanh = static_cast<double>(std::tanh(
+          static_cast<long double>(xi)));
+      const double ref_sigmoid = static_cast<double>(
+          1.0L / (1.0L + std::exp(-static_cast<long double>(xi))));
+      // The double-precision libm formulas the kernels replace: where they
+      // saturate to an exact 0, ±1 or inf, the kernels must too.
+      const double libm_exp = std::exp(xi);
+      const double libm_tanh = std::tanh(xi);
+      const double libm_sigmoid = 1.0 / (1.0 + std::exp(-xi));
+
+      if (std::fabs(libm_exp) >= std::numeric_limits<double>::min()) {
+        const int64_t d = UlpDistance(e[i], ref_exp);
+        worst_exp = std::max(worst_exp, d);
+        ASSERT_LE(d, 2) << "exp(" << xi << ") = " << e[i] << " vs "
+                        << ref_exp;
+        ASSERT_LE(UlpDistance(e[i], libm_exp), 2) << "exp(" << xi << ")";
+      } else {
+        // Subnormal or zero result: within a couple of subnormal steps.
+        ASSERT_LE(UlpDistance(e[i], ref_exp), 2) << "exp(" << xi << ")";
+      }
+      if (libm_exp == 0.0 || std::isinf(libm_exp)) {
+        ASSERT_EQ(e[i], libm_exp) << "exp(" << xi << ")";
+      }
+
+      const int64_t dt = UlpDistance(t[i], ref_tanh);
+      worst_tanh = std::max(worst_tanh, dt);
+      ASSERT_LE(dt, 4) << "tanh(" << xi << ") = " << t[i] << " vs "
+                       << ref_tanh;
+      ASSERT_LE(UlpDistance(t[i], libm_tanh), 4) << "tanh(" << xi << ")";
+      if (std::fabs(libm_tanh) == 1.0) {
+        ASSERT_EQ(t[i], libm_tanh) << "tanh(" << xi << ")";
+      }
+      ASSERT_EQ(std::signbit(t[i]), std::signbit(xi)) << "tanh(" << xi << ")";
+
+      const int64_t ds = UlpDistance(s[i], ref_sigmoid);
+      if (libm_sigmoid >= std::numeric_limits<double>::min()) {
+        worst_sigmoid = std::max(worst_sigmoid, ds);
+        ASSERT_LE(ds, 4) << "sigmoid(" << xi << ") = " << s[i] << " vs "
+                         << ref_sigmoid;
+        ASSERT_LE(UlpDistance(s[i], libm_sigmoid), 4)
+            << "sigmoid(" << xi << ")";
+      }
+      if (libm_sigmoid == 0.0 || libm_sigmoid == 1.0) {
+        ASSERT_EQ(s[i], libm_sigmoid) << "sigmoid(" << xi << ")";
+      }
+    }
+    std::printf("%s: worst ulp exp %lld tanh %lld sigmoid %lld\n",
+                avx2 ? "avx2" : "scalar", static_cast<long long>(worst_exp),
+                static_cast<long long>(worst_tanh),
+                static_cast<long long>(worst_sigmoid));
+  }
+}
+
+TEST_F(SimdTest, TranscendentalSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool avx2 : {false, true}) {
+    if (avx2 && !UseAvx2()) continue;
+    if (!avx2) UseScalar();
+    std::vector<double> e = {0.0, -0.0, inf, -inf, 800.0, -800.0, nan};
+    kernels::Exp(static_cast<int>(e.size()), e.data());
+    EXPECT_EQ(e[0], 1.0);
+    EXPECT_EQ(e[1], 1.0);
+    EXPECT_EQ(e[2], inf);
+    EXPECT_EQ(e[3], 0.0);
+    EXPECT_EQ(e[4], inf);
+    EXPECT_EQ(e[5], 0.0);
+    EXPECT_TRUE(std::isnan(e[6]));
+
+    std::vector<double> t = {0.0, -0.0, 1e-310, -1e-310, 30.0, -30.0,
+                             inf, -inf, nan};
+    kernels::ActForward(kernels::ActKind::kTanh, 0.0,
+                        static_cast<int>(t.size()), t.data());
+    EXPECT_EQ(std::bit_cast<uint64_t>(t[0]), std::bit_cast<uint64_t>(0.0));
+    EXPECT_EQ(std::bit_cast<uint64_t>(t[1]), std::bit_cast<uint64_t>(-0.0));
+    EXPECT_EQ(t[2], 1e-310);
+    EXPECT_EQ(t[3], -1e-310);
+    EXPECT_EQ(t[4], 1.0);
+    EXPECT_EQ(t[5], -1.0);
+    EXPECT_EQ(t[6], 1.0);
+    EXPECT_EQ(t[7], -1.0);
+    EXPECT_TRUE(std::isnan(t[8]));
+
+    std::vector<double> s = {0.0, 40.0, -710.0, inf, -inf, nan};
+    kernels::ActForward(kernels::ActKind::kSigmoid, 0.0,
+                        static_cast<int>(s.size()), s.data());
+    EXPECT_EQ(s[0], 0.5);
+    EXPECT_EQ(s[1], 1.0);
+    EXPECT_EQ(s[2], 0.0);
+    EXPECT_EQ(s[3], 1.0);
+    EXPECT_EQ(s[4], 0.0);
+    EXPECT_TRUE(std::isnan(s[5]));
+  }
+}
+
+// A NaN that enters an activation or a softmax must come out as NaN: the
+// non-finite guards of the learners count on seeing it.
+TEST_F(SimdTest, NanPropagatesThroughActivationsAndSoftmax) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto expect_nan_at = [](const nn::Var& v, int r, int c, const char* what) {
+    EXPECT_TRUE(std::isnan(v.value().At(r, c))) << what;
+  };
+  for (const bool avx2 : {false, true}) {
+    if (avx2 && !UseAvx2()) continue;
+    if (!avx2) UseScalar();
+    nn::ResetTape();
+    nn::Tensor xt = nn::Tensor::Full(3, 6, 0.25);
+    xt.At(1, 4) = nan;
+    const nn::Var x = nn::Var::Constant(xt);
+    expect_nan_at(nn::Tanh(x), 1, 4, "nn::Tanh");
+    expect_nan_at(nn::Sigmoid(x), 1, 4, "nn::Sigmoid");
+    const nn::Var soft = nn::SoftmaxRows(x);
+    for (int c = 0; c < 6; ++c) expect_nan_at(soft, 1, c, "SoftmaxRows");
+    EXPECT_FALSE(std::isnan(soft.value().At(0, 0)));
+
+    const nn::Var w = nn::Var::Param(nn::Tensor::Full(6, 5, 0.1));
+    nn::Tensor bt = nn::Tensor::Full(1, 5, 0.0);
+    bt.At(0, 2) = nan;
+    const nn::Var b = nn::Var::Param(bt);
+    const nn::Var ones = nn::Var::Constant(nn::Tensor::Full(3, 6, 1.0));
+    for (const nn::FusedAct act : {nn::FusedAct::kTanh,
+                                   nn::FusedAct::kSigmoid}) {
+      const nn::Var y = nn::AffineAct(ones, w, b, act);
+      for (int r = 0; r < 3; ++r) expect_nan_at(y, r, 2, "AffineAct");
+      EXPECT_FALSE(std::isnan(y.value().At(0, 0)));
+    }
   }
 }
 

@@ -1,9 +1,13 @@
 // Sensor model: detection radius and line-of-sight occlusion geometry.
 #include "sensor/sensor_model.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sensor/occlusion.h"
+#include "sim/scenario.h"
+#include "sim/simulation.h"
 
 namespace head::sensor {
 namespace {
@@ -119,6 +123,78 @@ TEST(SensorTest, DisablingOcclusionRestoresHiddenVehicle) {
       {2, {3, 60.0, 20.0}},
   };
   EXPECT_EQ(Observe(global, ego, sensor, road).size(), 2u);
+}
+
+// Reference sensor: every vehicle of the snapshot is a candidate blocker of
+// every in-range target — no band, no shortcut.
+std::vector<VehicleId> BruteForceObserve(
+    const std::vector<sim::VehicleSnapshot>& global, const VehicleState& ego,
+    const SensorConfig& sensor, const RoadConfig& road) {
+  std::vector<VehicleId> ids;
+  for (const sim::VehicleSnapshot& target : global) {
+    if (target.id == kEgoVehicleId) continue;
+    const double dx = DLon(target.state, ego);
+    const double dy = DLat(target.state, ego, road.lane_width_m);
+    if (dx * dx + dy * dy > sensor.range_m * sensor.range_m) continue;
+    bool visible = true;
+    if (sensor.model_occlusion) {
+      for (const sim::VehicleSnapshot& blocker : global) {
+        if (blocker.id == target.id || blocker.id == kEgoVehicleId) continue;
+        if (Occludes(ego, target.state, blocker.state, road.lane_width_m)) {
+          visible = false;
+          break;
+        }
+      }
+    }
+    if (visible) ids.push_back(target.id);
+  }
+  return ids;
+}
+
+// Observe keeps only the vehicles near the ego as candidate blockers; on
+// seeded dense traffic its output (ids and order) must equal the reference
+// for every range and with occlusion on and off.
+TEST(SensorTest, ObserveMatchesBruteForceOnDenseTraffic) {
+  const sim::SimConfig config = sim::DenseTrafficScenario();
+  int compared = 0;
+  for (const uint64_t seed : {3u, 11u, 29u}) {
+    sim::Simulation sim(config, seed);
+    for (int step = 0; step < 60; ++step) {
+      if (step % 6 == 0) {
+        const std::vector<sim::VehicleSnapshot> global = sim.GlobalSnapshot();
+        // The ego itself, plus a few conventional vehicles as observers
+        // at other spots along the road.
+        std::vector<VehicleState> observers = {sim.ego_state()};
+        for (size_t i = 1; i < global.size(); i += global.size() / 4 + 1) {
+          observers.push_back(global[i].state);
+        }
+        for (const VehicleState& ego : observers) {
+          for (const double range : {50.0, 75.0, 100.0, 150.0}) {
+            for (const bool occlusion : {true, false}) {
+              SensorConfig sensor;
+              sensor.range_m = range;
+              sensor.model_occlusion = occlusion;
+              std::vector<VehicleId> got;
+              for (const sim::VehicleSnapshot& v :
+                   Observe(global, ego, sensor, config.road)) {
+                got.push_back(v.id);
+              }
+              ASSERT_EQ(got,
+                        BruteForceObserve(global, ego, sensor, config.road))
+                  << "seed " << seed << " step " << step << " range "
+                  << range << " occlusion " << occlusion;
+              ++compared;
+            }
+          }
+        }
+      }
+      if (sim.Step(Maneuver{LaneChange::kKeep, 0.0}) !=
+          sim::EpisodeStatus::kRunning) {
+        break;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
 }
 
 }  // namespace

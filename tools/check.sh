@@ -66,7 +66,7 @@ SAN_TESTS=(obs_test obs_trace_test obs_recorder_test obs_timeseries_test
            sim_models_test nn_batched_ops_test nn_arena_test nn_simd_test
            parallel_test parallel_determinism_test serve_test
            batched_parity_test eval_test scenario_trace_test core_test
-           rl_env_test)
+           rl_env_test sensor_test occlusion_property_test)
 
 for SANITIZER in "${SANITIZERS[@]}"; do
   BUILD_DIR="build-${SANITIZER}san"
